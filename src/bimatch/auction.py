@@ -15,28 +15,26 @@ carries a generous step cap as a backstop.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from .core import Matching, PriceVector, WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError, IterationLimitError, SolveTimeout
+from .errors import InfeasibleInstanceError
 from .feasibility import feasibility_precheck
 from .reduction import BalancedReduction, project_matching, resolve_reduction
 from .scaling import (
+    DEADLINE_STRIDE,
     DEFAULT_ALPHA,
+    check_step,
     eps_schedule,
     initial_eps,
     scale_graph,
     second_cost_sentinel_gap,
+    step_cap,
 )
-from .tracing import TraceEvent
-
-
-class TraceSink(Protocol):
-    def append(self, event: TraceEvent) -> None: ...
+from .tracing import TraceEvent, TraceSink
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,6 @@ class PhaseSnapshot:
 
 
 PhaseCallback = Callable[[PhaseSnapshot], None]
-
-_DEADLINE_STRIDE = 1024
 
 
 def auction_phase(
@@ -82,23 +78,11 @@ def auction_phase(
 
     matching = Matching(n, s)
     queue: deque[int] = deque(range(n))
-    # Defensive cap, far above any feasible phase's bid count; it exists to
-    # turn the known infinite loop on uncoverable instances into an error.
-    spread = max(prices) - min(prices)
-    step_cap = 10 * n * max(1, graph.m) * (spread // eps + 2)
+    cap = step_cap(graph, max(prices) - min(prices), eps)
     step = 0
     while queue:
-        if step >= step_cap:
-            raise IterationLimitError(
-                f"bidding exceeded {step_cap} steps at eps={eps}; "
-                "the instance is most likely infeasible"
-            )
-        if (
-            deadline is not None
-            and step % _DEADLINE_STRIDE == 0
-            and time.monotonic() > deadline
-        ):
-            raise SolveTimeout(f"bidding phase at eps={eps} hit the deadline")
+        if step >= cap or (deadline is not None and step % DEADLINE_STRIDE == 0):
+            check_step(step, cap, eps, deadline, "bidding phase")
         u = queue.popleft()
 
         lo, hi = off[u], off[u + 1]

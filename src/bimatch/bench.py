@@ -23,21 +23,18 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .auction import eps_scaling_auction
-from .core import matching_weight
 from .errors import SolveTimeout
 from .feasibility import is_feasible
 from .gen import EDGE_MODELS, WEIGHT_MODELS, GenSpec, generate
-from .gk import goldberg_kennedy
-from .hungarian import hungarian
 from .reduction import build_reduction
 from .scaling import DEFAULT_ALPHA, parse_alpha
-from .solve import ALGORITHMS, verify_solution
+from .solve import ALGORITHMS, solve, verify_solution
 
 log = logging.getLogger(__name__)
 
@@ -304,24 +301,14 @@ def run_job(job: Job) -> list[dict[str, object]]:
         )
         try:
             t0 = time.perf_counter()
-            if algo == "auction":
-                matching = eps_scaling_auction(
-                    graph,
-                    alpha=job.alpha,
-                    reduction=reduction,
-                    deadline=deadline,
-                    precheck=False,
-                )
-            elif algo == "gk":
-                matching = goldberg_kennedy(
-                    graph,
-                    alpha=job.alpha,
-                    reduction=reduction,
-                    deadline=deadline,
-                    precheck=False,
-                )
-            else:
-                matching = hungarian(graph, precheck=False, deadline=deadline)
+            result = solve(
+                graph,
+                algo,
+                alpha=job.alpha,
+                reduction=reduction,
+                deadline=deadline,
+                precheck=False,
+            )
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
         except SolveTimeout:
             assert job.time_limit is not None
@@ -335,19 +322,18 @@ def run_job(job: Job) -> list[dict[str, object]]:
                 }
             )
             continue
-        problem = verify_solution(graph, matching)
+        problem = verify_solution(graph, result.matching)
         if problem is not None:
             raise RuntimeError(
                 f"{algo} produced an invalid matching on seed {job.seed}: "
                 f"{problem}"
             )
-        weight = matching_weight(graph, matching)
-        weights[algo] = weight
+        weights[algo] = result.weight
         rows.append(
             {
                 **_base_row(job),
                 "algorithm": algo,
-                "weight": weight,
+                "weight": result.weight,
                 "millis": f"{elapsed_ms:.3f}",
                 "status": "ok",
             }
@@ -524,20 +510,11 @@ def run_grid(
     out.mkdir(parents=True, exist_ok=True)
     jobs = expand_jobs(config)
     rows: list[dict[str, object]] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_job, job) for job in jobs]
-            for i, future in enumerate(futures):
-                rows.extend(future.result())
-                if progress:
-                    print(
-                        f"[bench] {i + 1}/{len(jobs)} jobs done",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-    else:
-        for i, job in enumerate(jobs):
-            rows.extend(run_job(job))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with pool as executor:
+        mapper = map if executor is None else executor.map
+        for i, (job, job_rows) in enumerate(zip(jobs, mapper(run_job, jobs))):
+            rows.extend(job_rows)
             if progress:
                 print(
                     f"[bench] {i + 1}/{len(jobs)} jobs done "

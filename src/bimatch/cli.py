@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
@@ -126,42 +127,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = read_instance(args.infile)
     alpha = parse_alpha(args.alpha)
-    if args.trace is not None and args.algo == "hungarian":
-        raise ValueError("tracing applies to the auction and gk solvers only")
-
-    trace_fh = None
-    try:
-        if args.trace is not None:
-            trace_fh = open(args.trace, "w", encoding="ascii", newline="\n")
-            sink = TraceFileWriter(trace_fh)
-        else:
-            sink = None
+    trace_file = (
+        nullcontext()
+        if args.trace is None
+        else open(args.trace, "w", encoding="ascii", newline="\n")
+    )
+    with trace_file as trace_fh:
         try:
-            if args.algo == "hungarian":
-                result = solve(graph, "hungarian")
-            else:
-                from .auction import eps_scaling_auction
-                from .core import matching_weight
-                from .gk import goldberg_kennedy
-
-                runner = (
-                    eps_scaling_auction if args.algo == "auction" else goldberg_kennedy
-                )
-                matching = runner(
-                    graph,
-                    alpha=alpha,
-                    reduction=args.reduction,
-                    trace_sink=sink,
-                )
-                from .solve import SolveResult
-
-                result = SolveResult(matching, matching_weight(graph, matching))
+            result = solve(
+                graph,
+                args.algo,
+                alpha=alpha,
+                reduction=args.reduction,
+                trace_sink=None if trace_fh is None else TraceFileWriter(trace_fh),
+            )
         except InfeasibleInstanceError:
             print("infeasible")
             return 1
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
     for u, v in result.matching.pairs():
         print(f"{u} {v}")
     print(f"weight {result.weight}")

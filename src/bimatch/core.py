@@ -272,6 +272,8 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
             n, s, m = (int(tok) for tok in header)
         except ValueError:
             raise ValueError(f"bad header {header!r}") from None
+        if m < 0:
+            raise ValueError(f"bad header {header!r}: negative edge count")
         edges: list[Edge] = []
         for k in range(m):
             parts = fh.readline().split()

@@ -16,26 +16,26 @@ completed run certifies the correspondence, not just the result.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError, IterationLimitError, SolveTimeout
+from .errors import InfeasibleInstanceError
 from .feasibility import feasibility_precheck
 from .reduction import BalancedReduction, project_matching, resolve_reduction
 from .scaling import (
+    DEADLINE_STRIDE,
     DEFAULT_ALPHA,
+    check_step,
     eps_schedule,
     initial_eps,
     scale_graph,
     second_cost_sentinel_gap,
+    step_cap,
 )
-from .tracing import TraceEvent
-
-_DEADLINE_STRIDE = 1024
+from .tracing import TraceEvent, TraceSink
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,6 @@ class Pseudoflow:
                 e[fi.graph.n + fi.graph.adj_v[a]] += 1
         return e
 
-    def active_nodes(self) -> list[int]:
-        return [x for x, e in enumerate(self.excess) if e > 0]
-
 
 def residual_conditions(
     fi: FlowInstance, flow: list[int], prices: list[int], eps: int
@@ -187,7 +184,7 @@ def refine(
     prices: list[int],
     *,
     refine_index: int = 0,
-    trace_sink=None,
+    trace_sink: Optional[TraceSink] = None,
     deadline: Optional[float] = None,
     check_identities: bool = False,
 ) -> tuple[Pseudoflow, list[int]]:
@@ -223,23 +220,11 @@ def refine(
 
     owner_arc = [-1] * s
     queue: deque[int] = deque(range(n))
-    # Same defensive cap as the bidding loop: spread of the object prices
-    # this round started from, in eps units.
-    spread = max(prices[n:]) - min(prices[n:])
-    step_cap = 10 * n * max(1, g.m) * (spread // eps + 2)
+    cap = step_cap(g, max(prices[n:]) - min(prices[n:]), eps)
     step = 0
     while queue:
-        if step >= step_cap:
-            raise IterationLimitError(
-                f"refine exceeded {step_cap} steps at eps={eps}; "
-                "the instance is most likely infeasible"
-            )
-        if (
-            deadline is not None
-            and step % _DEADLINE_STRIDE == 0
-            and time.monotonic() > deadline
-        ):
-            raise SolveTimeout(f"refine at eps={eps} hit the deadline")
+        if step >= cap or (deadline is not None and step % DEADLINE_STRIDE == 0):
+            check_step(step, cap, eps, deadline, "refine")
         u = queue.popleft()
 
         lo, hi = off[u], off[u + 1]
@@ -317,7 +302,7 @@ def goldberg_kennedy(
     *,
     alpha: Fraction = DEFAULT_ALPHA,
     reduction: str | BalancedReduction = "double",
-    trace_sink=None,
+    trace_sink: Optional[TraceSink] = None,
     on_refine: Optional[RefineCallback] = None,
     deadline: Optional[float] = None,
     precheck: bool = True,

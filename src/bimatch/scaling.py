@@ -9,12 +9,17 @@ a whole unit).
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .core import WeightedBipartiteGraph
+from .errors import IterationLimitError, SolveTimeout
 
 DEFAULT_ALPHA = Fraction(5)
+
+# Bid loops probe the clock only every this many steps.
+DEADLINE_STRIDE = 1024
 
 
 def scale_factor(graph: WeightedBipartiteGraph) -> int:
@@ -78,3 +83,33 @@ def second_cost_sentinel_gap(max_abs_scaled_weight: int) -> int:
     else.
     """
     return 2 * max_abs_scaled_weight + 1
+
+
+def step_cap(graph: WeightedBipartiteGraph, spread: int, eps: int) -> int:
+    """Defensive step cap for one phase at ``eps`` on ``graph``.
+
+    ``spread`` is the range of the object prices the phase starts from.  The
+    cap is far above any feasible phase's bid count; it exists to turn the
+    known infinite loop on uncoverable instances into an error.
+    """
+    return 10 * graph.n * max(1, graph.m) * (spread // eps + 2)
+
+
+def check_step(
+    step: int, cap: int, eps: int, deadline: Optional[float], label: str
+) -> None:
+    """Per-phase step guard shared by both bid loops.
+
+    A loop calls this only when ``step >= cap`` or, with a deadline set, when
+    ``step`` is a multiple of :data:`DEADLINE_STRIDE`, so no bid pays for
+    the call.  Raises :class:`IterationLimitError` at the cap and
+    :class:`SolveTimeout` once ``deadline`` (a ``time.monotonic`` value) has
+    passed.
+    """
+    if step >= cap:
+        raise IterationLimitError(
+            f"{label} exceeded {cap} steps at eps={eps}; "
+            "the instance is most likely infeasible"
+        )
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeout(f"{label} at eps={eps} hit the deadline")

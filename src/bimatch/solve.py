@@ -12,6 +12,7 @@ from .gk import goldberg_kennedy
 from .hungarian import hungarian
 from .reduction import BalancedReduction
 from .scaling import DEFAULT_ALPHA
+from .tracing import TraceSink
 
 ALGORITHMS = ("auction", "gk", "hungarian")
 
@@ -30,14 +31,20 @@ def solve(
     reduction: str | BalancedReduction = "double",
     deadline: Optional[float] = None,
     precheck: bool = True,
+    trace_sink: Optional[TraceSink] = None,
 ) -> SolveResult:
     """Run one solver; the matching covers every right vertex or an
-    :class:`InfeasibleInstanceError` propagates."""
+    :class:`InfeasibleInstanceError` propagates.
+
+    With ``trace_sink`` the auction and gk solvers append one event per bid
+    to it, and gk also checks its per-push price identities.
+    """
     if algorithm == "auction":
         matching = eps_scaling_auction(
             graph,
             alpha=alpha,
             reduction=reduction,
+            trace_sink=trace_sink,
             deadline=deadline,
             precheck=precheck,
         )
@@ -46,10 +53,17 @@ def solve(
             graph,
             alpha=alpha,
             reduction=reduction,
+            trace_sink=trace_sink,
             deadline=deadline,
             precheck=precheck,
+            check_identities=trace_sink is not None,
         )
     elif algorithm == "hungarian":
+        if trace_sink is not None:
+            raise ValueError(
+                "no traced solver named 'hungarian': "
+                "tracing applies to the auction and gk solvers only"
+            )
         matching = hungarian(graph, precheck=precheck, deadline=deadline)
     else:
         raise ValueError(f"no solver named {algorithm!r}")

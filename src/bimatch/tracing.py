@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterable, Iterator, Optional, Protocol
 
 from .core import WeightedBipartiteGraph
 
@@ -58,6 +58,12 @@ class TraceEvent:
             raise ValueError("gamma must equal second - best")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
+
+
+class TraceSink(Protocol):
+    """Where a traced solver sends its events: a list, or a file writer."""
+
+    def append(self, event: TraceEvent) -> None: ...
 
 
 def format_event(event: TraceEvent) -> str:
@@ -168,29 +174,17 @@ def record_trace(
 ) -> tuple[list[TraceEvent], int]:
     """Run one solver with tracing on; return (events, matching weight).
 
-    The flow-based solver runs with its internal cross-checks enabled, so a
-    recorded trace from it also certifies the per-step price identities.
+    A traced ``gk`` solve also certifies the per-step price identities.
     """
-    from .auction import eps_scaling_auction
-    from .core import matching_weight
-    from .gk import goldberg_kennedy
     from .scaling import DEFAULT_ALPHA
+    from .solve import solve
 
-    if alpha is None:
-        alpha = DEFAULT_ALPHA
     events: list[TraceEvent] = []
-    if algorithm == "auction":
-        matching = eps_scaling_auction(
-            graph, alpha=alpha, reduction=reduction, trace_sink=events
-        )
-    elif algorithm == "gk":
-        matching = goldberg_kennedy(
-            graph,
-            alpha=alpha,
-            reduction=reduction,
-            trace_sink=events,
-            check_identities=True,
-        )
-    else:
-        raise ValueError(f"no traced solver named {algorithm!r}")
-    return events, matching_weight(graph, matching)
+    result = solve(
+        graph,
+        algorithm,
+        alpha=DEFAULT_ALPHA if alpha is None else alpha,
+        reduction=reduction,
+        trace_sink=events,
+    )
+    return events, result.weight

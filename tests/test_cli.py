@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from bimatch.cli import main
 from bimatch.core import build_graph, read_instance, write_instance
+from bimatch.tracing import read_trace_file, record_trace
 
 from conftest import g0
 
@@ -103,6 +105,22 @@ class TestSolve:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_gk_trace_honours_alpha_and_reduction(self, tmp_path, capsys):
+        g = build_graph(
+            4, 2,
+            [(0, 0, 7), (0, 1, 2), (1, 0, 3), (2, 0, 5), (2, 1, 6), (3, 1, 4)],
+        )
+        inst = tmp_path / "wide.txt"
+        write_instance(g, inst)
+        custom, default = tmp_path / "custom.tsv", tmp_path / "default.tsv"
+        assert main(["solve", "--algo", "gk", "--alpha", "2", "--reduction",
+                     "pad", "--in", str(inst), "--trace", str(custom)]) == 0
+        assert main(["solve", "--algo", "gk", "--in", str(inst),
+                     "--trace", str(default)]) == 0
+        expected, _ = record_trace("gk", g, Fraction(2), "pad")
+        assert list(read_trace_file(custom)) == expected
+        assert list(read_trace_file(default)) != expected
 
     def test_pad_reduction_accepted(self, tmp_path, capsys):
         path = tmp_path / "wide.txt"

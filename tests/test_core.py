@@ -230,6 +230,12 @@ class TestInstanceFile:
         with pytest.raises(ValueError, match="header"):
             read_instance(path)
 
+    def test_negative_edge_count(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 -1\n")
+        with pytest.raises(ValueError, match="header"):
+            read_instance(path)
+
     def test_short_edge_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 1 1\n0 0\n")

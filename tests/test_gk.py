@@ -77,14 +77,6 @@ class TestPseudoflow:
                 assert pf.excess == pf.recompute_excess()
                 assert sum(pf.excess) == 0
 
-    def test_active_nodes_lists_surpluses(self):
-        fi = to_flow_instance(g0())
-        pf = Pseudoflow(fi)
-        assert pf.active_nodes() == [0, 1]
-        pf.push(0)
-        pf.push(3)
-        assert pf.active_nodes() == []
-
 
 class TestResidualConditions:
     def one_arc(self, w):

@@ -22,6 +22,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="no solver"):
             solve(g0(), "greedy")
 
+    def test_trace_sink_records_identical_scaling_traces(self):
+        for g in random_feasible_graphs(1102, 10, max_n=6):
+            traces = {}
+            for algo in ("auction", "gk"):
+                traces[algo] = []
+                solve(g, algo, trace_sink=traces[algo])
+            assert traces["auction"] and traces["auction"] == traces["gk"]
+
+    def test_tracing_hungarian_is_an_error(self):
+        with pytest.raises(ValueError, match="tracing applies"):
+            solve(g0(), "hungarian", trace_sink=[])
+
     def test_prebuilt_reduction_is_reusable_across_algorithms(self):
         for g in random_feasible_graphs(1101, 10, max_n=6):
             red = build_reduction(g, "double")
