@@ -21,12 +21,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import Matching, PriceVector, WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError
+from .errors import DEADLINE_STRIDE
 from .feasibility import feasibility_precheck
 from .reduction import BalancedReduction, project_matching, resolve_reduction
 from .scaling import (
-    DEADLINE_STRIDE,
     DEFAULT_ALPHA,
+    check_persons_have_edges,
     check_step,
     eps_schedule,
     initial_eps,
@@ -75,6 +75,7 @@ def auction_phase(
         raise ValueError(f"eps must be a positive integer, got {eps}")
     off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
     sentinel_gap = second_cost_sentinel_gap(graph.max_abs_weight)
+    check_persons_have_edges(graph)
 
     matching = Matching(n, s)
     queue: deque[int] = deque(range(n))
@@ -85,15 +86,10 @@ def auction_phase(
             check_step(step, cap, eps, deadline, "bidding phase")
         u = queue.popleft()
 
-        lo, hi = off[u], off[u + 1]
-        if lo == hi:
-            raise InfeasibleInstanceError(
-                f"left vertex {u} has no edges; no perfect matching exists"
-            )
         best_rc: Optional[int] = None
         second_rc: Optional[int] = None
         best_v = -1
-        for i in range(lo, hi):
+        for i in range(off[u], off[u + 1]):
             rc = adj_w[i] - prices[adj_v[i]]
             if best_rc is None or rc < best_rc:
                 second_rc = best_rc

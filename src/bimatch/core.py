@@ -283,6 +283,6 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
                 edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
             except ValueError:
                 raise ValueError(f"bad edge line {parts!r}") from None
-        if fh.readline().strip():
+        if any(line.strip() for line in fh):
             raise ValueError("trailing content after the declared edges")
     return build_graph(n, s, edges)

@@ -1,4 +1,10 @@
-"""Runtime errors shared by the solvers."""
+"""Runtime errors shared by the solvers, and their common deadline probe."""
+
+import time
+from typing import Optional
+
+# Solver loops probe the clock only every this many steps.
+DEADLINE_STRIDE = 1024
 
 
 class InfeasibleInstanceError(Exception):
@@ -15,3 +21,9 @@ class IterationLimitError(Exception):
 
 class SolveTimeout(Exception):
     """A cooperative per-solve deadline expired."""
+
+
+def check_deadline(deadline: Optional[float], where: str) -> None:
+    """Raise :class:`SolveTimeout` once the ``time.monotonic`` deadline has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeout(f"{where} hit the deadline")

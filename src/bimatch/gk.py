@@ -2,7 +2,7 @@
 
 The balanced instance becomes a unit-capacity flow network: persons supply
 one unit, objects demand one, an arc per edge.  Each refine round zeroes the
-flow, reinitializes person prices, then repeatedly double-pushes an active
+flow and keeps the object prices, then repeatedly double-pushes an active
 person: relabel ``p(u)`` to minus the runner-up partial reduced cost, push
 the unit to the best object, bounce the object's previous unit back to its
 old owner, and drop the object's price to ``p(u) + w(uv) - eps``.  The
@@ -22,12 +22,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError
+from .errors import DEADLINE_STRIDE
 from .feasibility import feasibility_precheck
 from .reduction import BalancedReduction, project_matching, resolve_reduction
 from .scaling import (
-    DEADLINE_STRIDE,
     DEFAULT_ALPHA,
+    check_persons_have_edges,
     check_step,
     eps_schedule,
     initial_eps,
@@ -191,7 +191,8 @@ def refine(
     """One refine round; mutates ``prices`` (length ``n + s``) in place and
     returns ``(pseudoflow, prices)``.
 
-    On exit the pseudoflow is a flow carrying a perfect matching.  With
+    Incoming person prices are ignored; they are output only.  On exit the
+    pseudoflow is a flow carrying a perfect matching.  With
     ``check_identities`` every double push additionally rescans the person's
     neighborhood and verifies the relabel landed exactly on minus the
     smallest partial reduced cost (offset by ``eps`` for single-edge
@@ -203,21 +204,10 @@ def refine(
         raise ValueError(f"eps must be a positive integer, got {eps}")
     off, adj_v, adj_w = g.adj_off, g.adj_v, g.adj_w
     sentinel_gap = second_cost_sentinel_gap(g.max_abs_weight)
+    check_persons_have_edges(g)
 
     pf = Pseudoflow(fi)
-
-    # Person prices restart each round at minus the cheapest partial reduced
-    # cost.  The first double push of each person overwrites this before
-    # anything reads it, but the round is specified with the reset and the
-    # reset is what makes the identity checks meaningful from step one.
-    for u in range(n):
-        lo, hi = off[u], off[u + 1]
-        if lo == hi:
-            raise InfeasibleInstanceError(
-                f"left vertex {u} has no edges; no perfect matching exists"
-            )
-        prices[u] = -min(adj_w[i] - prices[n + adj_v[i]] for i in range(lo, hi))
-
+    # No per-round person price reset: first double pushes overwrite it unread.
     owner_arc = [-1] * s
     queue: deque[int] = deque(range(n))
     cap = step_cap(g, max(prices[n:]) - min(prices[n:]), eps)

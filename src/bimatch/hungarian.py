@@ -11,14 +11,11 @@ eps machinery; its answers cross-check the scaling solvers at full size.
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError, SolveTimeout
+from .errors import DEADLINE_STRIDE, InfeasibleInstanceError, check_deadline
 from .feasibility import feasibility_precheck
-
-_DEADLINE_STRIDE = 4096
 
 
 def _right_adjacency(
@@ -82,12 +79,8 @@ def hungarian(
         u_star = -1
         while heap:
             steps += 1
-            if (
-                deadline is not None
-                and steps % _DEADLINE_STRIDE == 0
-                and time.monotonic() > deadline
-            ):
-                raise SolveTimeout("augmenting search hit the deadline")
+            if deadline is not None and steps % DEADLINE_STRIDE == 0:
+                check_deadline(deadline, "augmenting search")
             d, u = heapq.heappop(heap)
             if settled[u] or d > dist[u]:
                 continue

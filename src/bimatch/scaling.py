@@ -9,17 +9,13 @@ a whole unit).
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .core import WeightedBipartiteGraph
-from .errors import IterationLimitError, SolveTimeout
+from .errors import InfeasibleInstanceError, IterationLimitError, check_deadline
 
 DEFAULT_ALPHA = Fraction(5)
-
-# Bid loops probe the clock only every this many steps.
-DEADLINE_STRIDE = 1024
 
 
 def scale_factor(graph: WeightedBipartiteGraph) -> int:
@@ -103,13 +99,21 @@ def check_step(
     A loop calls this only when ``step >= cap`` or, with a deadline set, when
     ``step`` is a multiple of :data:`DEADLINE_STRIDE`, so no bid pays for
     the call.  Raises :class:`IterationLimitError` at the cap and
-    :class:`SolveTimeout` once ``deadline`` (a ``time.monotonic`` value) has
-    passed.
+    :class:`SolveTimeout` once ``deadline`` has passed.
     """
     if step >= cap:
         raise IterationLimitError(
             f"{label} exceeded {cap} steps at eps={eps}; "
             "the instance is most likely infeasible"
         )
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolveTimeout(f"{label} at eps={eps} hit the deadline")
+    check_deadline(deadline, f"{label} at eps={eps}")
+
+
+def check_persons_have_edges(graph: WeightedBipartiteGraph) -> None:
+    """Reject a person with no edges up front: no bid loop could place it."""
+    off = graph.adj_off
+    for u in range(graph.n):
+        if off[u] == off[u + 1]:
+            raise InfeasibleInstanceError(
+                f"left vertex {u} has no edges; no perfect matching exists"
+            )

@@ -247,3 +247,14 @@ class TestInstanceFile:
         path.write_text("1 1 1\n0 0 5\n0 0 6\n")
         with pytest.raises(ValueError, match="trailing"):
             read_instance(path)
+
+    def test_trailing_content_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 1\n0 0 5\n\n1 1 7\n")
+        with pytest.raises(ValueError, match="trailing"):
+            read_instance(path)
+
+    def test_trailing_blank_lines_are_fine(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("1 1 1\n0 0 5\n\n  \n")
+        assert read_instance(path).m == 1

@@ -174,6 +174,31 @@ class TestRefine:
         with pytest.raises(InfeasibleInstanceError, match="no edges"):
             refine(fi, 1, [0] * fi.n_nodes)
 
+    def test_incoming_person_prices_are_ignored(self):
+        # Only object prices steer a round, so arbitrary person prices on
+        # entry must change nothing: not the flow, prices or events.
+        rng = random.Random(7313)
+        for i, g in enumerate(
+            random_feasible_graphs(7314, 40, max_n=8, balanced=True)
+        ):
+            eps = 1 + i % 4
+            fi = to_flow_instance(scale_graph(g))
+            objects = [rng.randint(-500, 500) for _ in range(g.s)]
+            persons = [rng.randint(-10**6, 10**6) for _ in range(g.n)]
+            runs = []
+            for start in ([0] * g.n, persons):
+                events: list = []
+                pf, prices = refine(
+                    fi,
+                    eps,
+                    start + objects,
+                    trace_sink=events,
+                    check_identities=True,
+                )
+                runs.append((pf.flow, prices, events))
+            assert runs[0] == runs[1]
+            assert len(runs[0][2]) >= g.n
+
 
 class TestDriver:
     def test_reference_instance(self):
@@ -244,3 +269,13 @@ class TestSolverCorrespondence:
         goldberg_kennedy(g0(), trace_sink=right, check_identities=True)
         assert left == right
         assert len(left) >= 2
+
+    def test_isolated_person_raises_before_any_step_in_both(self):
+        from bimatch.auction import eps_scaling_auction
+
+        g = build_graph(2, 2, [(0, 0, 1)])
+        for solve in (eps_scaling_auction, goldberg_kennedy):
+            events: list = []
+            with pytest.raises(InfeasibleInstanceError, match="no edges"):
+                solve(g, precheck=False, trace_sink=events)
+            assert events == []
