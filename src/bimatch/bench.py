@@ -5,6 +5,11 @@ side rules, densities and their model-specific knobs, repetitions).  Every
 grid cell and repetition maps to a deterministic seed, so a run is fully
 reproducible from the config alone.
 
+``expand_jobs`` turns the grid into jobs, each carrying the ``GenSpec`` of
+its instance; building those specs validates every cell, so a bad config is
+rejected before the first job runs.  ``CELL_COLUMNS`` names the cell's CSV
+columns once; the run, aggregate and slice tables are derived from it.
+
 Per instance the harness prechecks feasibility and prebuilds the balancing
 reduction off the clock; the timed region is the solve itself (scaling,
 phases, projection back).  Solvers that exceed the per-run budget are
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -24,10 +30,10 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import SolveTimeout
 from .feasibility import is_feasible
@@ -42,7 +48,12 @@ CONFIG_VERSION = 1
 
 S_RULES = ("log_n", "sqrt_n", "n")
 
-RUN_COLUMNS = (
+_SPLIT_COST_MODELS = ("uniform_low_high", "low_or_high")
+
+# One grid cell, in CSV order.  ``s`` follows from ``n`` and ``s_rule``; the
+# other columns are the cell's free parameters, which key its seed and its
+# marginal slices.  An inapplicable ``r_norm`` or ``p_low`` is written blank.
+CELL_COLUMNS = (
     "edge_model",
     "cost_model",
     "n",
@@ -51,12 +62,20 @@ RUN_COLUMNS = (
     "density",
     "r_norm",
     "p_low",
+)
+_SLICE_PARAMS = tuple(c for c in CELL_COLUMNS if c != "s")
+_MILLIS_COLUMNS = ("mean_millis", "min_millis", "max_millis")
+
+RUN_COLUMNS = CELL_COLUMNS + (
     "repetition",
     "algorithm",
     "weight",
     "millis",
     "status",
 )
+_AGG_KEY = CELL_COLUMNS + ("algorithm",)
+AGG_COLUMNS = _AGG_KEY + ("runs", "ok", "censored", "infeasible") + _MILLIS_COLUMNS
+SLICE_COLUMNS = ("parameter", "value", "algorithm", "ok") + _MILLIS_COLUMNS
 
 _HEADER_NOTE = (
     "# s_rule values: log_n -> max(1, round(log2(n))), "
@@ -84,8 +103,8 @@ class BenchConfig:
     n_values: tuple[int, ...]
     s_rules: tuple[str, ...]
     densities: tuple[float, ...]
-    r_norms: tuple[float, ...]
-    p_lows: tuple[float, ...]
+    r_norms: tuple[float, ...] = ()
+    p_lows: tuple[float, ...] = ()
     repetitions: int = 10
     algorithms: tuple[str, ...] = ALGORITHMS
     time_limit: Optional[float] = None
@@ -94,25 +113,19 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        for em in self.edge_models:
-            if em not in EDGE_MODELS:
-                raise ValueError(f"unknown edge model {em!r}")
-        for cm in self.cost_models:
-            if cm not in WEIGHT_MODELS:
-                raise ValueError(f"unknown cost model {cm!r}")
-        for rule in self.s_rules:
-            if rule not in S_RULES:
-                raise ValueError(f"unknown s rule {rule!r}")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}")
+        for what, values, known in (
+            ("edge model", self.edge_models, EDGE_MODELS),
+            ("cost model", self.cost_models, WEIGHT_MODELS),
+            ("s rule", self.s_rules, S_RULES),
+            ("algorithm", self.algorithms, ALGORITHMS),
+        ):
+            for value in values:
+                if value not in known:
+                    raise ValueError(f"unknown {what} {value!r}")
         if "dispersed_degree" in self.edge_models and not self.r_norms:
             raise ValueError("dispersed_degree needs at least one r_norm")
         if (
-            any(
-                cm in ("uniform_low_high", "low_or_high")
-                for cm in self.cost_models
-            )
+            any(cm in _SPLIT_COST_MODELS for cm in self.cost_models)
             and not self.p_lows
         ):
             raise ValueError("split cost models need at least one p_low")
@@ -120,21 +133,27 @@ class BenchConfig:
             raise ValueError("time_limit must be positive")
 
 
-_CONFIG_KEYS = {
-    "config_version",
-    "seed_base",
-    "repetitions",
-    "edge_models",
-    "cost_models",
-    "n_values",
-    "s_rules",
-    "densities",
-    "r_norms",
-    "p_lows",
-    "algorithms",
-    "time_limit",
-    "alpha",
+def _floats(xs) -> tuple[float, ...]:
+    return tuple(float(x) for x in xs)
+
+
+# How each config key becomes a ``BenchConfig`` field, besides
+# ``config_version``.  Keys whose field has no default are required.
+_CONVERTERS = {
+    "seed_base": int,
+    "edge_models": tuple,
+    "cost_models": tuple,
+    "n_values": lambda xs: tuple(int(x) for x in xs),
+    "s_rules": tuple,
+    "densities": _floats,
+    "r_norms": _floats,
+    "p_lows": _floats,
+    "repetitions": int,
+    "algorithms": tuple,
+    "time_limit": lambda x: None if x is None else float(x),
+    "alpha": lambda x: parse_alpha(str(x)),
 }
+_REQUIRED_KEYS = {f.name for f in fields(BenchConfig) if f.default is MISSING}
 
 
 def load_config(path: str | Path) -> BenchConfig:
@@ -142,52 +161,53 @@ def load_config(path: str | Path) -> BenchConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    version = raw.pop("config_version", None)
+    unknown = set(raw) - set(_CONVERTERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    version = raw.get("config_version")
     if version != CONFIG_VERSION:
         raise ValueError(
             f"config_version must be {CONFIG_VERSION}, got {version!r}"
         )
-    kwargs = dict(
-        seed_base=int(raw["seed_base"]),
-        edge_models=tuple(raw["edge_models"]),
-        cost_models=tuple(raw["cost_models"]),
-        n_values=tuple(int(x) for x in raw["n_values"]),
-        s_rules=tuple(raw["s_rules"]),
-        densities=tuple(float(x) for x in raw["densities"]),
-        r_norms=tuple(float(x) for x in raw.get("r_norms", ())),
-        p_lows=tuple(float(x) for x in raw.get("p_lows", ())),
-    )
-    if "repetitions" in raw:
-        kwargs["repetitions"] = int(raw["repetitions"])
-    if "algorithms" in raw:
-        kwargs["algorithms"] = tuple(raw["algorithms"])
-    if raw.get("time_limit") is not None:
-        kwargs["time_limit"] = float(raw["time_limit"])
-    if "alpha" in raw:
-        kwargs["alpha"] = parse_alpha(str(raw["alpha"]))
-    return BenchConfig(**kwargs)
+    missing = _REQUIRED_KEYS - set(raw)
+    if missing:
+        raise ValueError(f"missing config keys: {sorted(missing)}")
+    return BenchConfig(**{k: _CONVERTERS[k](v) for k, v in raw.items()})
 
 
 @dataclass(frozen=True)
 class Job:
     """One generated instance plus everything needed to run and report it."""
 
-    edge_model: str
-    cost_model: str
-    n: int
+    spec: GenSpec
     s_rule: str
-    s: int
-    density: float
-    r_norm: Optional[float]
-    p_low: Optional[float]
     repetition: int
-    seed: int
     algorithms: tuple[str, ...]
     time_limit: Optional[float]
     alpha: Fraction
+
+    def cells(self) -> dict[str, object]:
+        """The grid cell's CSV values, keyed by ``CELL_COLUMNS``."""
+        spec = self.spec
+        values = (
+            spec.model,
+            spec.weight_model,
+            spec.n,
+            self.s_rule,
+            spec.s,
+            spec.d,
+            "" if spec.r_norm is None else spec.r_norm,
+            "" if spec.p_low is None else spec.p_low,
+        )
+        return dict(zip(CELL_COLUMNS, values))
+
+    def describe(self) -> str:
+        """The cell in short, for progress lines and error messages."""
+        spec = self.spec
+        return (
+            f"{spec.model}/{spec.weight_model} n={spec.n} s={spec.s} "
+            f"d={spec.d}"
+        )
 
 
 def _cell_seed(base: int, cell_key: str, repetition: int) -> int:
@@ -196,102 +216,68 @@ def _cell_seed(base: int, cell_key: str, repetition: int) -> int:
 
 
 def expand_jobs(config: BenchConfig) -> list[Job]:
-    """The full grid, inapplicable knobs skipped rather than crossed."""
+    """The full grid, inapplicable knobs skipped rather than crossed.
+
+    Raises ``ValueError`` for any cell ``GenSpec`` rejects, before a single
+    instance is generated.
+    """
     jobs: list[Job] = []
-    for edge_model in config.edge_models:
-        r_norm_options: tuple[Optional[float], ...]
-        r_norm_options = (
-            tuple(config.r_norms) if edge_model == "dispersed_degree" else (None,)
-        )
-        for cost_model in config.cost_models:
-            p_low_options: tuple[Optional[float], ...]
-            if cost_model in ("uniform_low_high", "low_or_high"):
-                p_low_options = tuple(config.p_lows)
-            else:
-                p_low_options = (None,)
-            for n in config.n_values:
-                for s_rule in config.s_rules:
-                    s = right_side_size(s_rule, n)
-                    for density in config.densities:
-                        for r_norm in r_norm_options:
-                            for p_low in p_low_options:
-                                cell_key = "|".join(
-                                    str(x)
-                                    for x in (
-                                        edge_model,
-                                        cost_model,
-                                        n,
-                                        s_rule,
-                                        density,
-                                        r_norm,
-                                        p_low,
-                                    )
-                                )
-                                for rep in range(config.repetitions):
-                                    jobs.append(
-                                        Job(
-                                            edge_model=edge_model,
-                                            cost_model=cost_model,
-                                            n=n,
-                                            s_rule=s_rule,
-                                            s=s,
-                                            density=density,
-                                            r_norm=r_norm,
-                                            p_low=p_low,
-                                            repetition=rep,
-                                            seed=_cell_seed(
-                                                config.seed_base, cell_key, rep
-                                            ),
-                                            algorithms=config.algorithms,
-                                            time_limit=config.time_limit,
-                                            alpha=config.alpha,
-                                        )
-                                    )
+    for edge_model, cost_model, n, s_rule, density in itertools.product(
+        config.edge_models,
+        config.cost_models,
+        config.n_values,
+        config.s_rules,
+        config.densities,
+    ):
+        r_norms = config.r_norms if edge_model == "dispersed_degree" else (None,)
+        p_lows = config.p_lows if cost_model in _SPLIT_COST_MODELS else (None,)
+        for r_norm, p_low in itertools.product(r_norms, p_lows):
+            free = (edge_model, cost_model, n, s_rule, density, r_norm, p_low)
+            cell_key = "|".join(str(x) for x in free)
+            for rep in range(config.repetitions):
+                spec = GenSpec(
+                    model=edge_model,
+                    n=n,
+                    s=right_side_size(s_rule, n),
+                    d=density,
+                    weight_model=cost_model,
+                    seed=_cell_seed(config.seed_base, cell_key, rep),
+                    r_norm=r_norm,
+                    p_low=p_low,
+                )
+                jobs.append(
+                    Job(
+                        spec,
+                        s_rule,
+                        rep,
+                        config.algorithms,
+                        config.time_limit,
+                        config.alpha,
+                    )
+                )
     return jobs
-
-
-def _base_row(job: Job) -> dict[str, object]:
-    return {
-        "edge_model": job.edge_model,
-        "cost_model": job.cost_model,
-        "n": job.n,
-        "s_rule": job.s_rule,
-        "s": job.s,
-        "density": job.density,
-        "r_norm": "" if job.r_norm is None else job.r_norm,
-        "p_low": "" if job.p_low is None else job.p_low,
-        "repetition": job.repetition,
-    }
 
 
 def run_job(job: Job) -> list[dict[str, object]]:
     """Generate one instance, run every algorithm on it, return run rows."""
-    spec = GenSpec(
-        model=job.edge_model,
-        n=job.n,
-        s=job.s,
-        d=job.density,
-        weight_model=job.cost_model,
-        seed=job.seed,
-        r_norm=job.r_norm,
-        p_low=job.p_low,
-    )
-    graph = generate(spec)
-    rows: list[dict[str, object]] = []
+    cells = job.cells()
+
+    def row(algo: str, status: str, weight: object = "", millis: str = ""):
+        return {
+            **cells,
+            "repetition": job.repetition,
+            "algorithm": algo,
+            "weight": weight,
+            "millis": millis,
+            "status": status,
+        }
+
+    graph = generate(job.spec)
     if not is_feasible(graph):
-        for algo in job.algorithms:
-            rows.append(
-                {
-                    **_base_row(job),
-                    "algorithm": algo,
-                    "weight": "",
-                    "millis": "",
-                    "status": "infeasible",
-                }
-            )
-        return rows
+        return [row(algo, "infeasible") for algo in job.algorithms]
 
     reduction = build_reduction(graph, "double")
+    rows: list[dict[str, object]] = []
     weights: dict[str, int] = {}
     for algo in job.algorithms:
         deadline = (
@@ -313,36 +299,21 @@ def run_job(job: Job) -> list[dict[str, object]]:
         except SolveTimeout:
             assert job.time_limit is not None
             rows.append(
-                {
-                    **_base_row(job),
-                    "algorithm": algo,
-                    "weight": "",
-                    "millis": f"{job.time_limit * 1000.0:.3f}",
-                    "status": "censored",
-                }
+                row(algo, "censored", millis=f"{job.time_limit * 1000.0:.3f}")
             )
             continue
         problem = verify_solution(graph, result.matching)
         if problem is not None:
             raise RuntimeError(
-                f"{algo} produced an invalid matching on seed {job.seed}: "
-                f"{problem}"
+                f"{algo} produced an invalid matching on seed "
+                f"{job.spec.seed}: {problem}"
             )
         weights[algo] = result.weight
-        rows.append(
-            {
-                **_base_row(job),
-                "algorithm": algo,
-                "weight": result.weight,
-                "millis": f"{elapsed_ms:.3f}",
-                "status": "ok",
-            }
-        )
+        rows.append(row(algo, "ok", result.weight, f"{elapsed_ms:.3f}"))
     if len(set(weights.values())) > 1:
         raise RuntimeError(
-            f"solvers disagree on seed {job.seed} "
-            f"({job.edge_model}/{job.cost_model} n={job.n} s={job.s} "
-            f"d={job.density}): {weights}"
+            f"solvers disagree on seed {job.spec.seed} "
+            f"({job.describe()}): {weights}"
         )
     return rows
 
@@ -357,104 +328,42 @@ def _write_csv(
         writer.writerows(rows)
 
 
-AGG_COLUMNS = (
-    "edge_model",
-    "cost_model",
-    "n",
-    "s_rule",
-    "s",
-    "density",
-    "r_norm",
-    "p_low",
-    "algorithm",
-    "runs",
-    "ok",
-    "censored",
-    "infeasible",
-    "mean_millis",
-    "min_millis",
-    "max_millis",
-)
-
-SLICE_COLUMNS = (
-    "parameter",
-    "value",
-    "algorithm",
-    "ok",
-    "mean_millis",
-    "min_millis",
-    "max_millis",
-)
-
-_SLICE_PARAMS = (
-    "edge_model",
-    "cost_model",
-    "n",
-    "s_rule",
-    "density",
-    "r_norm",
-    "p_low",
-)
+def _grouped(
+    rows: Iterable[dict[str, object]],
+    key: Callable[[dict[str, object]], tuple],
+) -> list[tuple[tuple, list[dict[str, object]]]]:
+    """Rows grouped by ``key``, groups in the string order of their keys."""
+    groups: dict[tuple, list[dict[str, object]]] = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return sorted(groups.items(), key=lambda kv: tuple(str(x) for x in kv[0]))
 
 
-def _summarize(millis: list[float]) -> dict[str, str]:
-    if not millis:
-        return {"mean_millis": "", "min_millis": "", "max_millis": ""}
-    return {
-        "mean_millis": f"{sum(millis) / len(millis):.3f}",
-        "min_millis": f"{min(millis):.3f}",
-        "max_millis": f"{max(millis):.3f}",
-    }
+def _summarize(group: list[dict[str, object]]) -> dict[str, object]:
+    """The count and mean/min/max ``millis`` of the ok rows in ``group``."""
+    millis = [float(str(r["millis"])) for r in group if r["status"] == "ok"]
+    stats = (
+        [f"{x:.3f}" for x in (sum(millis) / len(millis), min(millis), max(millis))]
+        if millis
+        else ["", "", ""]
+    )
+    return {"ok": len(millis), **dict(zip(_MILLIS_COLUMNS, stats))}
 
 
 def aggregate(rows: list[dict[str, object]]) -> list[dict[str, object]]:
     """Collapse repetitions: one row per grid cell and algorithm."""
-    cells: dict[tuple, list[dict[str, object]]] = {}
-    for row in rows:
-        key = tuple(
-            row[c]
-            for c in (
-                "edge_model",
-                "cost_model",
-                "n",
-                "s_rule",
-                "s",
-                "density",
-                "r_norm",
-                "p_low",
-                "algorithm",
-            )
+    out: list[dict[str, object]] = []
+    for key, group in _grouped(rows, lambda r: tuple(r[c] for c in _AGG_KEY)):
+        statuses = [r["status"] for r in group]
+        out.append(
+            {
+                **dict(zip(_AGG_KEY, key)),
+                "runs": len(group),
+                "censored": statuses.count("censored"),
+                "infeasible": statuses.count("infeasible"),
+                **_summarize(group),
+            }
         )
-        cells.setdefault(key, []).append(row)
-    out = []
-    for key in sorted(cells, key=lambda k: tuple(str(x) for x in k)):
-        group = cells[key]
-        ok = [r for r in group if r["status"] == "ok"]
-        millis = [float(str(r["millis"])) for r in ok]
-        record: dict[str, object] = dict(
-            zip(
-                (
-                    "edge_model",
-                    "cost_model",
-                    "n",
-                    "s_rule",
-                    "s",
-                    "density",
-                    "r_norm",
-                    "p_low",
-                    "algorithm",
-                ),
-                key,
-            )
-        )
-        record["runs"] = len(group)
-        record["ok"] = len(ok)
-        record["censored"] = sum(1 for r in group if r["status"] == "censored")
-        record["infeasible"] = sum(
-            1 for r in group if r["status"] == "infeasible"
-        )
-        record.update(_summarize(millis))
-        out.append(record)
     return out
 
 
@@ -462,19 +371,12 @@ def slice_summaries(rows: list[dict[str, object]]) -> list[dict[str, object]]:
     """Marginal timings: one row per single parameter value and algorithm."""
     out: list[dict[str, object]] = []
     for param in _SLICE_PARAMS:
-        buckets: dict[tuple[str, str], list[float]] = {}
-        for row in rows:
-            value = str(row[param])
-            if value == "":
-                continue
-            key = (value, str(row["algorithm"]))
-            if row["status"] == "ok":
-                buckets.setdefault(key, []).append(float(str(row["millis"])))
-            else:
-                buckets.setdefault(key, [])
-        for (value, algo) in sorted(buckets):
-            millis = buckets[(value, algo)]
-            if not millis:
+        applicable = (r for r in rows if str(r[param]) != "")
+        for (value, algo), group in _grouped(
+            applicable, lambda r: (str(r[param]), str(r["algorithm"]))
+        ):
+            summary = _summarize(group)
+            if not summary["ok"]:
                 log.warning(
                     "no successful runs for %s=%s algorithm=%s",
                     param,
@@ -482,13 +384,7 @@ def slice_summaries(rows: list[dict[str, object]]) -> list[dict[str, object]]:
                     algo,
                 )
             out.append(
-                {
-                    "parameter": param,
-                    "value": value,
-                    "algorithm": algo,
-                    "ok": len(millis),
-                    **_summarize(millis),
-                }
+                {"parameter": param, "value": value, "algorithm": algo, **summary}
             )
     return out
 
@@ -502,13 +398,16 @@ def run_grid(
 ) -> Path:
     """Execute the whole grid; write runs.csv, aggregated.csv, slices.csv.
 
-    Returns the path of runs.csv.  With ``workers > 1`` instances run in
-    parallel processes; note that wall-clock timings from oversubscribed
-    machines are noisier.
+    Returns the path of runs.csv.  The grid is expanded, and so validated,
+    before the output directory is made or any job runs.  With
+    ``workers > 1`` instances run in parallel processes; note that
+    wall-clock timings from oversubscribed machines are noisier.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    jobs = expand_jobs(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = expand_jobs(config)
     rows: list[dict[str, object]] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with pool as executor:
@@ -518,8 +417,7 @@ def run_grid(
             if progress:
                 print(
                     f"[bench] {i + 1}/{len(jobs)} jobs done "
-                    f"({job.edge_model}/{job.cost_model} n={job.n} "
-                    f"s={job.s} d={job.density} rep={job.repetition})",
+                    f"({job.describe()} rep={job.repetition})",
                     file=sys.stderr,
                     flush=True,
                 )

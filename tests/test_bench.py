@@ -20,8 +20,11 @@ from bimatch.bench import (
     run_job,
     slice_summaries,
 )
+from bimatch.gen import GenSpec
 from bimatch.scaling import DEFAULT_ALPHA
 from bimatch.solve import ALGORITHMS
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def small_config(**overrides):
@@ -136,6 +139,22 @@ class TestLoadConfig:
             load_config(self.write(tmp_path, payload))
 
 
+class TestCommittedConfigs:
+    """Both shipped grids load and expand, with pinned sizes and seeds."""
+
+    @pytest.mark.parametrize(
+        "name, count, first_seed, last_seed",
+        [
+            ("bench_desk.json", 2268, 16047320399562874338, 7879239395058821674),
+            ("bench_full.json", 10080, 1504562149103984197, 3200720892465110452),
+        ],
+    )
+    def test_expands_to_pinned_grid(self, name, count, first_seed, last_seed):
+        jobs = expand_jobs(load_config(SCRIPTS / name))
+        assert len(jobs) == count
+        assert (jobs[0].spec.seed, jobs[-1].spec.seed) == (first_seed, last_seed)
+
+
 class TestExpandJobs:
     def grid_config(self, seed_base=7):
         return small_config(
@@ -156,54 +175,69 @@ class TestExpandJobs:
         # contributes one p_low option; 2 s rules; 2 repetitions
         assert len(jobs) == (1 + 2) * 2 * 2 * 2
         for job in jobs:
-            if job.edge_model == "erdos_renyi":
-                assert job.r_norm is None
+            if job.spec.model == "erdos_renyi":
+                assert job.spec.r_norm is None
             else:
-                assert job.r_norm in (0.1, 0.5)
-            if job.cost_model == "uniform":
-                assert job.p_low is None
+                assert job.spec.r_norm in (0.1, 0.5)
+            if job.spec.weight_model == "uniform":
+                assert job.spec.p_low is None
             else:
-                assert job.p_low == 0.3
+                assert job.spec.p_low == 0.3
 
     def test_s_follows_the_rule(self):
         for job in expand_jobs(self.grid_config()):
-            assert job.s == right_side_size(job.s_rule, job.n)
+            assert job.spec.s == right_side_size(job.s_rule, job.spec.n)
 
     def test_seeds_are_deterministic_and_distinct_per_repetition(self):
         jobs_a = expand_jobs(self.grid_config())
         jobs_b = expand_jobs(self.grid_config())
-        assert [j.seed for j in jobs_a] == [j.seed for j in jobs_b]
+        assert [j.spec.seed for j in jobs_a] == [j.spec.seed for j in jobs_b]
         by_cell: dict[tuple, set[int]] = {}
         for j in jobs_a:
-            key = (j.edge_model, j.cost_model, j.s_rule, j.r_norm, j.p_low)
-            by_cell.setdefault(key, set()).add(j.seed)
+            key = (
+                j.spec.model, j.spec.weight_model, j.s_rule, j.spec.r_norm,
+                j.spec.p_low,
+            )
+            by_cell.setdefault(key, set()).add(j.spec.seed)
         assert all(len(seeds) == 2 for seeds in by_cell.values())
 
     def test_seed_base_shifts_every_seed(self):
-        seeds_a = sorted(j.seed for j in expand_jobs(self.grid_config(7)))
-        seeds_b = sorted(j.seed for j in expand_jobs(self.grid_config(8)))
+        seeds_a = sorted(j.spec.seed for j in expand_jobs(self.grid_config(7)))
+        seeds_b = sorted(j.spec.seed for j in expand_jobs(self.grid_config(8)))
         assert seeds_a != seeds_b
         assert all(b - a == 1 for a, b in zip(seeds_a, seeds_b))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(densities=(0.5, 1.5)),
+            dict(edge_models=("dispersed_degree",), r_norms=(0.1, 1.2)),
+            dict(cost_models=("low_or_high",), p_lows=(0.3, -0.1)),
+        ],
+    )
+    def test_out_of_range_cell_is_rejected_up_front(self, overrides):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            expand_jobs(small_config(**overrides))
 
-def make_job(**overrides):
-    base = dict(
-        edge_model="erdos_renyi",
-        cost_model="uniform",
+
+def make_job(algorithms=ALGORITHMS, time_limit=None, **spec_overrides):
+    spec = dict(
+        model="erdos_renyi",
         n=8,
-        s_rule="n",
         s=8,
-        density=1.0,
-        r_norm=None,
-        p_low=None,
-        repetition=0,
+        d=1.0,
+        weight_model="uniform",
         seed=1234,
-        algorithms=ALGORITHMS,
-        time_limit=None,
+    )
+    spec.update(spec_overrides)
+    return Job(
+        spec=GenSpec(**spec),
+        s_rule="n",
+        repetition=0,
+        algorithms=algorithms,
+        time_limit=time_limit,
         alpha=DEFAULT_ALPHA,
     )
-    base.update(overrides)
-    return Job(**base)
 
 
 class TestRunJob:
@@ -217,7 +251,7 @@ class TestRunJob:
             assert float(str(r["millis"])) >= 0.0
 
     def test_infeasible_instance_reports_every_algorithm(self):
-        rows = run_job(make_job(density=0.0))
+        rows = run_job(make_job(d=0.0))
         assert [r["status"] for r in rows] == ["infeasible"] * len(ALGORITHMS)
         assert all(r["weight"] == "" and r["millis"] == "" for r in rows)
 

@@ -185,23 +185,26 @@ class TestTraceDiff:
         assert "error:" in capsys.readouterr().err
 
 
+def write_bench_config(tmp_path, **overrides):
+    cfg = tmp_path / "cfg.json"
+    payload = {
+        "config_version": 1,
+        "seed_base": 5,
+        "edge_models": ["erdos_renyi"],
+        "cost_models": ["uniform"],
+        "n_values": [6],
+        "s_rules": ["n"],
+        "densities": [1.0],
+        "repetitions": 1,
+    }
+    payload.update(overrides)
+    cfg.write_text(json.dumps(payload))
+    return cfg
+
+
 class TestBench:
     def test_grid_runs_and_reports_outputs(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "config_version": 1,
-                    "seed_base": 5,
-                    "edge_models": ["erdos_renyi"],
-                    "cost_models": ["uniform"],
-                    "n_values": [6],
-                    "s_rules": ["n"],
-                    "densities": [1.0],
-                    "repetitions": 1,
-                }
-            )
-        )
+        cfg = write_bench_config(tmp_path)
         out_dir = tmp_path / "out"
         rc = main(["bench", "--config", str(cfg), "--out", str(out_dir)])
         assert rc == 0
@@ -217,3 +220,38 @@ class TestBench:
         rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_missing_config_key_exits_2(self, tmp_path, capsys):
+        cfg = write_bench_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        del payload["seed_base"]
+        cfg.write_text(json.dumps(payload))
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "missing config keys: ['seed_base']" in capsys.readouterr().err
+
+    def test_bad_cell_exits_2_before_any_job(self, tmp_path, capsys):
+        cfg = write_bench_config(tmp_path, densities=[0.5, 1.5])
+        out_dir = tmp_path / "o"
+        rc = main(
+            ["bench", "--config", str(cfg), "--out", str(out_dir), "--progress"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "[bench]" not in err
+        assert "outside [0, 1]" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        cfg = write_bench_config(tmp_path)
+        out_dir = tmp_path / "o"
+        rc = main(
+            [
+                "bench", "--config", str(cfg), "--out", str(out_dir),
+                "--workers", workers,
+            ]
+        )
+        assert rc == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
