@@ -22,15 +22,6 @@ from .core import (
 )
 from .errors import InfeasibleInstanceError, IterationLimitError, SolveTimeout
 from .feasibility import feasibility_precheck, is_feasible, maximum_matching_size
-from .gen import (
-    GenSpec,
-    assign_low_or_high,
-    assign_uniform_low_high,
-    assign_uniform_weights,
-    dispersed_degree,
-    erdos_renyi,
-    generate,
-)
 from .gk import check_eps_optimal, goldberg_kennedy, refine, to_flow_instance
 from .hungarian import hungarian
 from .oracle import brute_force_optimum
@@ -46,6 +37,33 @@ from .solve import SolveResult, solve, verify_solution
 from .tracing import TraceEvent, compare_traces, record_trace
 
 __version__ = "0.1.0"
+
+# The generators need numpy; resolve them on first use (PEP 562) so that
+# importing the package, and solving with it, loads only the standard
+# library.
+_GEN_NAMES = frozenset(
+    {
+        "GenSpec",
+        "assign_low_or_high",
+        "assign_uniform_low_high",
+        "assign_uniform_weights",
+        "dispersed_degree",
+        "erdos_renyi",
+        "generate",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _GEN_NAMES:
+        from . import gen
+
+        return getattr(gen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _GEN_NAMES)
 
 __all__ = [
     "BalancedReduction",

@@ -133,25 +133,59 @@ class BenchConfig:
             raise ValueError("time_limit must be positive")
 
 
-def _floats(xs) -> tuple[float, ...]:
-    return tuple(float(x) for x in xs)
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
+
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list_of(check: Callable[[object], bool], what: str, convert=lambda x: x):
+    """Converter for a key whose value must be a JSON list of ``what``."""
+
+    def to_tuple(key: str, xs: object) -> tuple:
+        if not isinstance(xs, list) or not all(check(x) for x in xs):
+            raise ValueError(f"config key {key!r} must be a list of {what}")
+        return tuple(convert(x) for x in xs)
+
+    return to_tuple
+
+
+def _integer(key: str, x: object) -> int:
+    if not _is_int(x):
+        raise ValueError(f"config key {key!r} must be an integer")
+    return x
+
+
+def _time_limit(key: str, x: object) -> Optional[float]:
+    if x is None:
+        return None
+    if not _is_number(x):
+        raise ValueError(f"config key {key!r} must be a number or null")
+    return float(x)
+
+
+_strings = _list_of(lambda x: isinstance(x, str), "strings")
+_floats = _list_of(_is_number, "numbers", float)
 
 # How each config key becomes a ``BenchConfig`` field, besides
-# ``config_version``.  Keys whose field has no default are required.
+# ``config_version``: ``convert(key, value)`` checks the JSON type and raises
+# ``ValueError`` naming the key.  Keys whose field has no default are
+# required.
 _CONVERTERS = {
-    "seed_base": int,
-    "edge_models": tuple,
-    "cost_models": tuple,
-    "n_values": lambda xs: tuple(int(x) for x in xs),
-    "s_rules": tuple,
+    "seed_base": _integer,
+    "edge_models": _strings,
+    "cost_models": _strings,
+    "n_values": _list_of(_is_int, "integers"),
+    "s_rules": _strings,
     "densities": _floats,
     "r_norms": _floats,
     "p_lows": _floats,
-    "repetitions": int,
-    "algorithms": tuple,
-    "time_limit": lambda x: None if x is None else float(x),
-    "alpha": lambda x: parse_alpha(str(x)),
+    "repetitions": _integer,
+    "algorithms": _strings,
+    "time_limit": _time_limit,
+    "alpha": lambda key, x: parse_alpha(str(x)),
 }
 _REQUIRED_KEYS = {f.name for f in fields(BenchConfig) if f.default is MISSING}
 
@@ -172,7 +206,7 @@ def load_config(path: str | Path) -> BenchConfig:
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    return BenchConfig(**{k: _CONVERTERS[k](v) for k, v in raw.items()})
+    return BenchConfig(**{k: _CONVERTERS[k](k, v) for k, v in raw.items()})
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,8 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
-from .bench import load_config, run_grid
 from .core import read_instance, write_instance
 from .errors import InfeasibleInstanceError
-from .gen import GenSpec, generate
 from .oracle import MAX_ORACLE_S, brute_force_optimum
 from .scaling import parse_alpha
 from .solve import ALGORITHMS, solve
@@ -107,7 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``gen`` and ``bench`` import their modules when they run: both need numpy,
+# which ``solve``, ``verify`` and ``trace-diff`` should not pay to load.
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .gen import GenSpec, generate
+
     spec = GenSpec(
         model=_EDGE_MODEL_BY_FLAG[args.model],
         n=args.n,
@@ -194,6 +198,8 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import load_config, run_grid
+
     config = load_config(args.config)
     runs_path = run_grid(
         config, args.out, workers=args.workers, progress=args.progress

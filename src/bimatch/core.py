@@ -265,24 +265,31 @@ def write_instance(graph: WeightedBipartiteGraph, path: str | Path) -> None:
 
 def read_instance(path: str | Path) -> WeightedBipartiteGraph:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("header must be 'n s m'")
+        # One read; newlines are already translated, so splitting on "\n"
+        # gives the same lines as ``readline`` would.
+        lines = fh.read().split("\n")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError("header must be 'n s m'")
+    try:
+        n, s, m = (int(tok) for tok in header)
+    except ValueError:
+        raise ValueError(f"bad header {header!r}") from None
+    if m < 0:
+        raise ValueError(f"bad header {header!r}: negative edge count")
+    edges: list[Edge] = []
+    add_edge = edges.append
+    for line in lines[1 : m + 1]:
+        parts = line.split()
+        if len(parts) != 3:
+            break
+        u, v, w = parts
         try:
-            n, s, m = (int(tok) for tok in header)
+            add_edge((int(u), int(v), int(w)))
         except ValueError:
-            raise ValueError(f"bad header {header!r}") from None
-        if m < 0:
-            raise ValueError(f"bad header {header!r}: negative edge count")
-        edges: list[Edge] = []
-        for k in range(m):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"edge line {k + 1} must be 'u v w'")
-            try:
-                edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise ValueError(f"bad edge line {parts!r}") from None
-        if any(line.strip() for line in fh):
-            raise ValueError("trailing content after the declared edges")
+            raise ValueError(f"bad edge line {parts!r}") from None
+    if len(edges) < m:
+        raise ValueError(f"edge line {len(edges) + 1} must be 'u v w'")
+    if any(line.strip() for line in lines[m + 1 :]):
+        raise ValueError("trailing content after the declared edges")
     return build_graph(n, s, edges)

@@ -1,16 +1,21 @@
 """Feasibility precheck: can every right vertex be covered?
 
 The bidding loop does not terminate when some right vertex is uncoverable,
-so solvers screen instances first.  Coverage is a pure cardinality question,
-answered here by scipy's Hopcroft-Karp implementation on the unweighted
-graph.
+so solvers screen instances first.  Coverage is a pure cardinality question:
+is the maximum matching of the unweighted graph of size ``s``?
+
+The maximum matching is found in pure Python, in two steps.  A greedy pass
+gives every left vertex its first free neighbour.  Hopcroft-Karp phases
+(Hopcroft & Karp, 1973) then grow that matching: a breadth-first search
+layers the graph by alternating distance from the free left vertices, and
+a depth-first search along those layers augments a maximal set of
+vertex-disjoint shortest augmenting paths.  Each phase costs O(m), and
+after O(sqrt(n)) phases no augmenting path is left, so the whole search is
+O(m * sqrt(n)).  The search stops as soon as the matching has
+``min(n, s)`` pairs, the most any matching can have.
 """
 
 from __future__ import annotations
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import WeightedBipartiteGraph
 from .errors import InfeasibleInstanceError
@@ -18,14 +23,107 @@ from .errors import InfeasibleInstanceError
 
 def maximum_matching_size(graph: WeightedBipartiteGraph) -> int:
     """Cardinality of a maximum matching, ignoring weights."""
-    if graph.m == 0:
+    n, off, adj_v = graph.n, graph.adj_off, graph.adj_v
+    target = min(n, graph.s)
+    match_u = [-1] * n
+    match_v = [-1] * graph.s
+    size = 0
+    rows = []
+    for u in range(n):
+        if size == target:
+            return size
+        row = adj_v[off[u] : off[u + 1]]
+        rows.append(row)
+        for v in row:
+            if match_v[v] < 0:
+                match_v[v] = u
+                match_u[u] = v
+                size += 1
+                break
+    while size < target:
+        grown = _augment_shortest_paths(rows, match_u, match_v, target - size)
+        if not grown:
+            break
+        size += grown
+    return size
+
+
+def _augment_shortest_paths(
+    rows: list[tuple[int, ...]],
+    match_u: list[int],
+    match_v: list[int],
+    wanted: int,
+) -> int:
+    """One Hopcroft-Karp phase; returns how many paths it augmented.
+
+    Stops after ``wanted`` augmentations.  ``match_u``/``match_v`` hold
+    partner indices, ``-1`` when free, and are updated in place.
+    """
+    n = len(rows)
+    unseen = n + 1  # deeper than any layer: there are at most n of them
+    dist = [unseen] * n
+    roots = [u for u in range(n) if match_u[u] < 0 and rows[u]]
+    for u in roots:
+        dist[u] = 0
+    # Breadth-first layering.  The left vertices of layer k + 1 are the
+    # partners of the right vertices adjacent to layer k; the first layer
+    # that touches a free right vertex is the last one.
+    layer, last = roots, 0
+    while layer:
+        nxt = []
+        touches_free = False
+        for u in layer:
+            for v in rows[u]:
+                w = match_v[v]
+                if w < 0:
+                    touches_free = True
+                elif dist[w] == unseen:
+                    dist[w] = last + 1
+                    nxt.append(w)
+        if touches_free:
+            break
+        layer, last = nxt, last + 1
+    else:
         return 0
-    indptr = np.asarray(graph.adj_off, dtype=np.int32)
-    indices = np.asarray(graph.adj_v, dtype=np.int32)
-    data = np.ones(graph.m, dtype=np.int8)
-    mat = csr_matrix((data, indices, indptr), shape=(graph.n, graph.s))
-    row_of_col = maximum_bipartite_matching(mat, perm_type="row")
-    return int(np.count_nonzero(row_of_col >= 0))
+    # Depth-first augmentation along the layers, iterative so that paths
+    # of any length fit.  ``nxt_edge[u]`` is where ``u``'s scan resumes; a
+    # vertex that led nowhere, or that lies on an augmented path, is taken
+    # out of the layering by resetting its distance.
+    nxt_edge = [0] * n
+    grown = 0
+    for root in roots:
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            row, i, du = rows[u], nxt_edge[u], dist[u]
+            end = len(row)
+            if du == last:
+                while i < end and match_v[row[i]] >= 0:
+                    i += 1
+                nxt_edge[u] = i
+                if i < end:
+                    for x in stack:
+                        v = rows[x][nxt_edge[x]]
+                        match_u[x] = v
+                        match_v[v] = x
+                        dist[x] = unseen
+                    grown += 1
+                    if grown == wanted:
+                        return grown
+                    break
+            else:
+                while i < end:
+                    w = match_v[row[i]]
+                    if dist[w] == du + 1:
+                        break
+                    i += 1
+                nxt_edge[u] = i
+                if i < end:
+                    stack.append(w)
+                    continue
+            dist[u] = unseen
+            stack.pop()
+    return grown
 
 
 def is_feasible(graph: WeightedBipartiteGraph) -> bool:

@@ -138,6 +138,33 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="config_version"):
             load_config(self.write(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_values", [6.9]),
+            ("n_values", [True]),
+            ("edge_models", "erdos_renyi"),
+            ("algorithms", ["gk", 3]),
+            ("densities", ["0.5"]),
+            ("seed_base", 4.0),
+            ("repetitions", True),
+            ("time_limit", "60"),
+        ],
+    )
+    def test_mistyped_values_are_rejected_by_key(self, tmp_path, key, value):
+        payload = self.base_payload()
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            load_config(self.write(tmp_path, payload))
+
+    def test_integers_are_accepted_as_floats(self, tmp_path):
+        payload = self.base_payload()
+        payload["densities"] = [1, 0.5]
+        payload["time_limit"] = 60
+        cfg = load_config(self.write(tmp_path, payload))
+        assert cfg.densities == (1.0, 0.5)
+        assert cfg.time_limit == 60.0
+
 
 class TestCommittedConfigs:
     """Both shipped grids load and expand, with pinned sizes and seeds."""

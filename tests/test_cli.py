@@ -230,6 +230,17 @@ class TestBench:
         assert rc == 2
         assert "missing config keys: ['seed_base']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("n_values", [6.9]), ("edge_models", "erdos_renyi")]
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_bench_config(tmp_path, **{key: value})
+        out_dir = tmp_path / "o"
+        rc = main(["bench", "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 2
+        assert f"config key '{key}' must be a list of" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_cell_exits_2_before_any_job(self, tmp_path, capsys):
         cfg = write_bench_config(tmp_path, densities=[0.5, 1.5])
         out_dir = tmp_path / "o"
