@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import Matching, PriceVector, WeightedBipartiteGraph
-from .errors import DEADLINE_STRIDE
+from .errors import DEADLINE_STRIDE, check_deadline
 from .feasibility import feasibility_precheck
 from .reduction import BalancedReduction, project_matching, resolve_reduction
 from .scaling import (
@@ -147,6 +147,7 @@ def eps_scaling_auction(
     if precheck:
         feasibility_precheck(graph)
     balanced = resolve_reduction(graph, reduction)
+    check_deadline(deadline, "balancing reduction")
     scaled = scale_graph(balanced.graph)
     prices: PriceVector = [0] * scaled.s
     matching: Optional[Matching] = None

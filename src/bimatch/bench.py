@@ -10,12 +10,13 @@ its instance; building those specs validates every cell, so a bad config is
 rejected before the first job runs.  ``CELL_COLUMNS`` names the cell's CSV
 columns once; the run, aggregate and slice tables are derived from it.
 
-Per instance the harness prechecks feasibility and prebuilds the balancing
-reduction off the clock; the timed region is the solve itself (scaling,
-phases, projection back).  Solvers that exceed the per-run budget are
-recorded as censored at the budget.  Solved weights are cross-checked
-across algorithms and any disagreement aborts the whole run: a benchmark
-that silently times wrong answers would be worse than no benchmark.
+Per instance the harness prechecks feasibility off the clock; the timed
+region is the whole solve (for the scaling solvers: column kernel,
+balancing reduction, scaling, phases, projection back).  Solvers that
+exceed the per-run budget are recorded as censored at the budget.  Solved
+weights are cross-checked across algorithms and any disagreement aborts
+the whole run: a benchmark that silently times wrong answers would be
+worse than no benchmark.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Callable, Iterable, Optional
 from .errors import SolveTimeout
 from .feasibility import is_feasible
 from .gen import EDGE_MODELS, WEIGHT_MODELS, GenSpec, generate
-from .reduction import build_reduction
 from .scaling import DEFAULT_ALPHA, parse_alpha
 from .solve import ALGORITHMS, solve, verify_solution
 
@@ -310,7 +310,6 @@ def run_job(job: Job) -> list[dict[str, object]]:
     if not is_feasible(graph):
         return [row(algo, "infeasible") for algo in job.algorithms]
 
-    reduction = build_reduction(graph, "double")
     rows: list[dict[str, object]] = []
     weights: dict[str, int] = {}
     for algo in job.algorithms:
@@ -325,7 +324,6 @@ def run_job(job: Job) -> list[dict[str, object]]:
                 graph,
                 algo,
                 alpha=job.alpha,
-                reduction=reduction,
                 deadline=deadline,
                 precheck=False,
             )

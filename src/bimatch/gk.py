@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import DEADLINE_STRIDE
+from .errors import DEADLINE_STRIDE, check_deadline
 from .feasibility import feasibility_precheck
 from .reduction import BalancedReduction, project_matching, resolve_reduction
 from .scaling import (
@@ -307,6 +307,7 @@ def goldberg_kennedy(
     if precheck:
         feasibility_precheck(graph)
     balanced = resolve_reduction(graph, reduction)
+    check_deadline(deadline, "balancing reduction")
     scaled = scale_graph(balanced.graph)
     fi = to_flow_instance(scaled)
     prices = [0] * fi.n_nodes

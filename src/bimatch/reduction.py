@@ -17,26 +17,61 @@ correspond to V-covering matchings of the original.  Two constructions:
     edges, so ``double`` is the default for sparse instances.
 
 A balanced input passes through untouched (``identity``).
+
+Column kernel
+    Before either construction, :func:`build_reduction` shrinks an
+    unbalanced input (``s < n``) to its column kernel: each right vertex
+    ``v`` keeps its ``s`` cheapest edges, ties broken by (weight, left
+    index), or all of them when its degree is at most ``s``.  Left vertices
+    left without an edge are dropped and the rest renumbered in increasing
+    original order, so the kernel has ``n' <= min(n, s**2)`` left vertices
+    and ``m' <= s**2`` edges, and its rows stay sorted by right index.  The
+    construction then runs on the kernel (even a square one, so that a
+    ``double`` optimum is always twice the covering optimum), and
+    :func:`project_matching` maps the kernel's left vertices back.
+
+    Exactness: let ``K_v`` be the ``s`` kept left vertices of ``v`` and take
+    any covering matching in which ``v`` is matched to some ``u`` outside
+    ``K_v``.  The other ``s - 1`` right vertices hold at most ``s - 1`` left
+    vertices, so some ``u'`` in ``K_v`` is free.  Every kept edge of ``v``
+    is at most as heavy as every dropped one, so moving ``v`` from ``u`` to
+    ``u'`` does not raise the weight, and it removes one pair outside the
+    kernel.  Repeating this turns any covering matching into one inside the
+    kernel that weighs no more, so the kernel keeps both feasibility and
+    the optimum weight.  Conversely, with fewer than ``s`` left vertices in
+    the kernel no covering matching exists; the kernel stage then raises
+    :class:`InfeasibleInstanceError`.
+
+    The kernel is used only when it drops at least one edge; otherwise the
+    input gets the plain construction.  Balanced input never reaches it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 from .core import Edge, Matching, WeightedBipartiteGraph, build_graph
+from .errors import InfeasibleInstanceError
 
 ReductionKind = Literal["identity", "double", "pad"]
 
 
 @dataclass(frozen=True)
 class BalancedReduction:
-    """A balanced graph plus the recipe to project matchings back."""
+    """A balanced graph plus the recipe to project matchings back.
+
+    ``orig_n`` and ``orig_s`` are the shape of the graph the reduction was
+    built for.  When it was built on that graph's column kernel, ``persons``
+    maps each kernel left vertex to its original index.
+    """
 
     kind: ReductionKind
     graph: WeightedBipartiteGraph
     orig_n: int
     orig_s: int
+    persons: Optional[tuple[int, ...]] = None
 
 
 def _require_reducible(graph: WeightedBipartiteGraph) -> None:
@@ -46,20 +81,33 @@ def _require_reducible(graph: WeightedBipartiteGraph) -> None:
         )
 
 
-def double_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
-    """Mirror-and-bridge construction; identity when already balanced."""
-    _require_reducible(graph)
+def _mirror(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     n, s = graph.n, graph.s
-    if n == s:
-        return BalancedReduction("identity", graph, n, s)
     edges: list[Edge] = []
     for u, v, w in graph.iter_edges():
         edges.append((u, v, w))
         edges.append((n + v, s + u, w))
     for u in range(n):
         edges.append((u, s + u, 0))
-    big = build_graph(n + s, s + n, edges)
-    return BalancedReduction("double", big, n, s)
+    return build_graph(n + s, s + n, edges)
+
+
+def _pad(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
+    n, s = graph.n, graph.s
+    edges = list(graph.iter_edges())
+    for d in range(n - s):
+        for u in range(n):
+            edges.append((u, s + d, 0))
+    return build_graph(n, n, edges)
+
+
+def double_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
+    """Mirror-and-bridge construction; identity when already balanced."""
+    _require_reducible(graph)
+    n, s = graph.n, graph.s
+    if n == s:
+        return BalancedReduction("identity", graph, n, s)
+    return BalancedReduction("double", _mirror(graph), n, s)
 
 
 def pad_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
@@ -68,22 +116,65 @@ def pad_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
     n, s = graph.n, graph.s
     if n == s:
         return BalancedReduction("identity", graph, n, s)
-    edges = list(graph.iter_edges())
-    for d in range(n - s):
-        for u in range(n):
-            edges.append((u, s + d, 0))
-    big = build_graph(n, n, edges)
-    return BalancedReduction("pad", big, n, s)
+    return BalancedReduction("pad", _pad(graph), n, s)
+
+
+def column_kernel(
+    graph: WeightedBipartiteGraph,
+) -> Optional[tuple[WeightedBipartiteGraph, tuple[int, ...]]]:
+    """The column kernel of ``graph`` and its left-vertex map, or ``None``
+    when every right vertex has degree at most ``s`` (nothing to drop).
+
+    Raises :class:`InfeasibleInstanceError` when fewer than ``s`` left
+    vertices have an edge.
+    """
+    n, s = graph.n, graph.s
+    off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(s)]
+    for u in range(n):
+        for i in range(off[u], off[u + 1]):
+            cols[adj_v[i]].append((adj_w[i], u))
+    if all(len(col) <= s for col in cols):
+        # Only here can fewer than s left vertices remain: a column that
+        # drops an edge keeps s distinct ones.
+        reached = sum(off[u] < off[u + 1] for u in range(n))
+        if reached < s:
+            raise InfeasibleInstanceError(
+                f"only {reached} left vertices have edges, fewer than the "
+                f"{s} right vertices; no covering matching exists"
+            )
+        return None
+    kept: list[Edge] = []
+    for v, col in enumerate(cols):
+        kept.extend((u, v, w) for w, u in heapq.nsmallest(s, col))
+    persons = sorted({u for u, _, _ in kept})
+    index = {u: i for i, u in enumerate(persons)}
+    kernel = build_graph(len(persons), s, [(index[u], v, w) for u, v, w in kept])
+    return kernel, tuple(persons)
+
+
+_CONSTRUCTIONS = {"double": _mirror, "pad": _pad}
 
 
 def build_reduction(
     graph: WeightedBipartiteGraph, kind: str = "double"
 ) -> BalancedReduction:
-    if kind == "double":
-        return double_balanced(graph)
-    if kind == "pad":
-        return pad_balanced(graph)
-    raise ValueError(f"unknown reduction {kind!r}")
+    """The named construction, on the column kernel when that is smaller.
+
+    An unbalanced input always gets the named construction, even when its
+    kernel is square, so a ``double`` optimum is always twice the covering
+    optimum.
+    """
+    construct = _CONSTRUCTIONS.get(kind)
+    if construct is None:
+        raise ValueError(f"unknown reduction {kind!r}")
+    _require_reducible(graph)
+    n, s = graph.n, graph.s
+    if n == s:
+        return BalancedReduction("identity", graph, n, s)
+    kernel = column_kernel(graph)
+    small, persons = (graph, None) if kernel is None else kernel
+    return BalancedReduction(kind, construct(small), n, s, persons)
 
 
 def resolve_reduction(
@@ -115,11 +206,13 @@ def project_matching(
     n, s = reduction.orig_n, reduction.orig_s
     if reduction.kind == "identity":
         return matching.copy()
+    persons = reduction.persons
+    reach = n if persons is None else len(persons)
     out = Matching(n, s)
     for v in range(s):
         u = matching.match_of_v[v]
         assert u is not None
-        if not 0 <= u < n:
+        if not 0 <= u < reach:
             raise ValueError(f"right vertex {v} matched outside the original U")
-        out.assign(u, v)
+        out.assign(u if persons is None else persons[u], v)
     return out
