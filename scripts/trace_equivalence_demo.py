@@ -4,7 +4,9 @@
 Draws random instances, records the bid-level trace of the auction solver
 and the double-push trace of the push-relabel solver, and diffs them
 event by event.  Prints one line per instance plus a summary; exits
-nonzero on any divergence or weight mismatch.
+nonzero on any divergence or weight mismatch.  Each line gives the size
+``N`` of the balanced graph the solvers bid on, so an unbalanced draw
+shows whether the column kernel shrank it (``N < n + s``).
 
     python3 scripts/trace_equivalence_demo.py --count 50 --max-n 64 --seed 7
 """
@@ -17,6 +19,7 @@ import sys
 
 from bimatch.feasibility import is_feasible
 from bimatch.gen import GenSpec, generate
+from bimatch.reduction import build_reduction
 from bimatch.tracing import compare_traces, record_trace
 
 
@@ -28,7 +31,7 @@ def main() -> int:
     parser.add_argument(
         "--unbalanced",
         action="store_true",
-        help="draw s < n instances (routed through the doubling reduction)",
+        help="draw s < n instances (column kernel, then the double reduction)",
     )
     args = parser.parse_args()
 
@@ -50,14 +53,15 @@ def main() -> int:
         if not is_feasible(graph):
             continue
         produced += 1
+        balanced_n = build_reduction(graph).graph.n
         events_a, weight_a = record_trace("auction", graph)
         events_g, weight_g = record_trace("gk", graph)
         divergence = compare_traces(events_a, events_g)
         ok = divergence is None and weight_a == weight_g
         print(
             f"[{produced:3d}] {spec.model:16s} n={graph.n:3d} s={graph.s:3d} "
-            f"m={graph.m:5d} events={len(events_a):6d} weight={weight_a:8d} "
-            f"{'equal' if ok else 'DIVERGED'}"
+            f"N={balanced_n:3d} m={graph.m:5d} events={len(events_a):6d} "
+            f"weight={weight_a:8d} {'equal' if ok else 'DIVERGED'}"
         )
         if not ok:
             divergent += 1

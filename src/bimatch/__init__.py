@@ -29,7 +29,6 @@ from .reduction import (
     BalancedReduction,
     build_reduction,
     double_balanced,
-    pad_balanced,
     project_matching,
 )
 from .scaling import eps_schedule, scale_graph
@@ -99,7 +98,6 @@ __all__ = [
     "is_feasible",
     "matching_weight",
     "maximum_matching_size",
-    "pad_balanced",
     "project_matching",
     "read_instance",
     "record_trace",

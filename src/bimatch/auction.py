@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from .core import Matching, PriceVector, WeightedBipartiteGraph
 from .errors import DEADLINE_STRIDE, check_deadline
 from .feasibility import feasibility_precheck
-from .reduction import BalancedReduction, project_matching, resolve_reduction
+from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
     check_persons_have_edges,
@@ -131,7 +131,6 @@ def eps_scaling_auction(
     graph: WeightedBipartiteGraph,
     *,
     alpha: Fraction = DEFAULT_ALPHA,
-    reduction: str | BalancedReduction = "double",
     trace_sink: Optional[TraceSink] = None,
     on_phase: Optional[PhaseCallback] = None,
     deadline: Optional[float] = None,
@@ -140,13 +139,13 @@ def eps_scaling_auction(
     """Minimum-weight matching covering every right vertex.
 
     Raises :class:`InfeasibleInstanceError` when no such matching exists
-    (detected up front unless ``precheck`` is disabled).  ``reduction``
-    names the balancing construction or supplies one already built for
-    this graph.
+    (detected up front unless ``precheck`` is disabled).  Unbalanced input
+    is balanced by :func:`build_reduction`: the column kernel, then the
+    ``double`` construction.
     """
     if precheck:
         feasibility_precheck(graph)
-    balanced = resolve_reduction(graph, reduction)
+    balanced = build_reduction(graph)
     check_deadline(deadline, "balancing reduction")
     scaled = scale_graph(balanced.graph)
     prices: PriceVector = [0] * scaled.s

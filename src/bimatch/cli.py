@@ -18,7 +18,7 @@ from .core import read_instance, write_instance
 from .errors import InfeasibleInstanceError
 from .oracle import MAX_ORACLE_S, brute_force_optimum
 from .scaling import parse_alpha
-from .solve import ALGORITHMS, solve
+from .solve import ALGORITHMS, require_traced, solve
 from .tracing import TraceFileWriter, compare_trace_files
 
 _EDGE_MODEL_BY_FLAG = {"er": "erdos_renyi", "dd": "dispersed_degree"}
@@ -68,12 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scaling divisor > 1, e.g. 5 or 7/2 (auction and gk)",
     )
     p_solve.add_argument("--in", dest="infile", type=Path, required=True)
-    p_solve.add_argument(
-        "--reduction",
-        choices=("double", "pad"),
-        default="double",
-        help="balancing construction for unbalanced input (auction and gk)",
-    )
     p_solve.add_argument(
         "--trace",
         type=Path,
@@ -131,18 +125,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = read_instance(args.infile)
     alpha = parse_alpha(args.alpha)
-    trace_file = (
-        nullcontext()
-        if args.trace is None
-        else open(args.trace, "w", encoding="ascii", newline="\n")
-    )
+    if args.trace is None:
+        trace_file = nullcontext()
+    else:
+        require_traced(args.algo)  # before the file is opened and truncated
+        trace_file = open(args.trace, "w", encoding="ascii", newline="\n")
     with trace_file as trace_fh:
         try:
             result = solve(
                 graph,
                 args.algo,
                 alpha=alpha,
-                reduction=args.reduction,
                 trace_sink=None if trace_fh is None else TraceFileWriter(trace_fh),
             )
         except InfeasibleInstanceError:

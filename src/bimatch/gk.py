@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .core import Matching, WeightedBipartiteGraph
 from .errors import DEADLINE_STRIDE, check_deadline
 from .feasibility import feasibility_precheck
-from .reduction import BalancedReduction, project_matching, resolve_reduction
+from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
     check_persons_have_edges,
@@ -291,7 +291,6 @@ def goldberg_kennedy(
     graph: WeightedBipartiteGraph,
     *,
     alpha: Fraction = DEFAULT_ALPHA,
-    reduction: str | BalancedReduction = "double",
     trace_sink: Optional[TraceSink] = None,
     on_refine: Optional[RefineCallback] = None,
     deadline: Optional[float] = None,
@@ -301,12 +300,13 @@ def goldberg_kennedy(
     """Minimum-weight matching covering every right vertex.
 
     Raises :class:`InfeasibleInstanceError` when no such matching exists
-    (detected up front unless ``precheck`` is disabled).  ``reduction``
-    names the balancing construction or supplies one already built.
+    (detected up front unless ``precheck`` is disabled).  Unbalanced input
+    is balanced by :func:`build_reduction`: the column kernel, then the
+    ``double`` construction.
     """
     if precheck:
         feasibility_precheck(graph)
-    balanced = resolve_reduction(graph, reduction)
+    balanced = build_reduction(graph)
     check_deadline(deadline, "balancing reduction")
     scaled = scale_graph(balanced.graph)
     fi = to_flow_instance(scaled)

@@ -1,33 +1,25 @@
-"""Reductions from unbalanced coverage to balanced perfect matching.
+"""Reduction from unbalanced coverage to balanced perfect matching.
 
 The production solvers want a square instance whose perfect matchings
-correspond to V-covering matchings of the original.  Two constructions:
-
-``double``
-    Mirror the instance: left side ``U + V'``, right side ``V + U'``, the
-    original edges, their mirrored copies ``(n + v, s + u)``, and a
-    zero-weight bridge ``(u, s + u)`` per original left vertex.  A perfect
-    matching picks a covering matching on each copy and bridges the left
-    vertices unused by both; its weight is exactly twice the covering
-    optimum, and the original-copy half projects back directly.
-
-``pad``
-    Append ``n - s`` dummy right vertices connected to every left vertex by
-    zero-weight edges.  Cheaper (no weight doubling) but grows ``n * (n-s)``
-    edges, so ``double`` is the default for sparse instances.
-
+correspond to V-covering matchings of the original.  One construction,
+``double``: mirror the instance, so the left side is ``U + V'`` and the
+right side ``V + U'``, with the original edges, their mirrored copies
+``(n + v, s + u)``, and a zero-weight bridge ``(u, s + u)`` per original
+left vertex.  A perfect matching picks a covering matching on each copy
+and bridges the left vertices unused by both; its weight is exactly twice
+the covering optimum, and the original-copy half projects back directly.
 A balanced input passes through untouched (``identity``).
 
 Column kernel
-    Before either construction, :func:`build_reduction` shrinks an
+    Before the construction, :func:`build_reduction` shrinks an
     unbalanced input (``s < n``) to its column kernel: each right vertex
     ``v`` keeps its ``s`` cheapest edges, ties broken by (weight, left
     index), or all of them when its degree is at most ``s``.  Left vertices
     left without an edge are dropped and the rest renumbered in increasing
     original order, so the kernel has ``n' <= min(n, s**2)`` left vertices
     and ``m' <= s**2`` edges, and its rows stay sorted by right index.  The
-    construction then runs on the kernel (even a square one, so that a
-    ``double`` optimum is always twice the covering optimum), and
+    construction then runs on the kernel (even a square one, so that the
+    balanced optimum is always twice the covering optimum), and
     :func:`project_matching` maps the kernel's left vertices back.
 
     Exactness: let ``K_v`` be the ``s`` kept left vertices of ``v`` and take
@@ -55,7 +47,7 @@ from typing import Literal, Optional
 from .core import Edge, Matching, WeightedBipartiteGraph, build_graph
 from .errors import InfeasibleInstanceError
 
-ReductionKind = Literal["identity", "double", "pad"]
+ReductionKind = Literal["identity", "double"]
 
 
 @dataclass(frozen=True)
@@ -92,15 +84,6 @@ def _mirror(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     return build_graph(n + s, s + n, edges)
 
 
-def _pad(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
-    n, s = graph.n, graph.s
-    edges = list(graph.iter_edges())
-    for d in range(n - s):
-        for u in range(n):
-            edges.append((u, s + d, 0))
-    return build_graph(n, n, edges)
-
-
 def double_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
     """Mirror-and-bridge construction; identity when already balanced."""
     _require_reducible(graph)
@@ -108,15 +91,6 @@ def double_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
     if n == s:
         return BalancedReduction("identity", graph, n, s)
     return BalancedReduction("double", _mirror(graph), n, s)
-
-
-def pad_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
-    """Zero-weight dummy columns; identity when already balanced."""
-    _require_reducible(graph)
-    n, s = graph.n, graph.s
-    if n == s:
-        return BalancedReduction("identity", graph, n, s)
-    return BalancedReduction("pad", _pad(graph), n, s)
 
 
 def column_kernel(
@@ -130,10 +104,12 @@ def column_kernel(
     """
     n, s = graph.n, graph.s
     off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(s)]
+    # One int key w * n + u per edge: keys order as (weight, left index),
+    # and divmod(key, n) gives (w, u) back, negative weights included.
+    cols: list[list[int]] = [[] for _ in range(s)]
     for u in range(n):
         for i in range(off[u], off[u + 1]):
-            cols[adj_v[i]].append((adj_w[i], u))
+            cols[adj_v[i]].append(adj_w[i] * n + u)
     if all(len(col) <= s for col in cols):
         # Only here can fewer than s left vertices remain: a column that
         # drops an edge keeps s distinct ones.
@@ -146,27 +122,27 @@ def column_kernel(
         return None
     kept: list[Edge] = []
     for v, col in enumerate(cols):
-        kept.extend((u, v, w) for w, u in heapq.nsmallest(s, col))
+        for key in heapq.nsmallest(s, col):
+            w, u = divmod(key, n)
+            kept.append((u, v, w))
     persons = sorted({u for u, _, _ in kept})
     index = {u: i for i, u in enumerate(persons)}
     kernel = build_graph(len(persons), s, [(index[u], v, w) for u, v, w in kept])
     return kernel, tuple(persons)
 
 
-_CONSTRUCTIONS = {"double": _mirror, "pad": _pad}
-
-
 def build_reduction(
     graph: WeightedBipartiteGraph, kind: str = "double"
 ) -> BalancedReduction:
-    """The named construction, on the column kernel when that is smaller.
+    """The ``double`` construction, on the column kernel when that is
+    smaller.
 
-    An unbalanced input always gets the named construction, even when its
-    kernel is square, so a ``double`` optimum is always twice the covering
-    optimum.
+    An unbalanced input always gets the construction, even when its kernel
+    is square, so the balanced optimum is always twice the covering
+    optimum.  ``kind`` must be ``"double"``; it stays for callers that
+    name the construction.
     """
-    construct = _CONSTRUCTIONS.get(kind)
-    if construct is None:
+    if kind != "double":
         raise ValueError(f"unknown reduction {kind!r}")
     _require_reducible(graph)
     n, s = graph.n, graph.s
@@ -174,18 +150,7 @@ def build_reduction(
         return BalancedReduction("identity", graph, n, s)
     kernel = column_kernel(graph)
     small, persons = (graph, None) if kernel is None else kernel
-    return BalancedReduction(kind, construct(small), n, s, persons)
-
-
-def resolve_reduction(
-    graph: WeightedBipartiteGraph, reduction: "str | BalancedReduction"
-) -> BalancedReduction:
-    """Build the named reduction, or validate and pass through a prebuilt one."""
-    if isinstance(reduction, BalancedReduction):
-        if reduction.orig_n != graph.n or reduction.orig_s != graph.s:
-            raise ValueError("supplied reduction was built for another graph")
-        return reduction
-    return build_reduction(graph, reduction)
+    return BalancedReduction("double", _mirror(small), n, s, persons)
 
 
 def project_matching(

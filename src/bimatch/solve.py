@@ -10,11 +10,11 @@ from .auction import eps_scaling_auction
 from .core import Matching, WeightedBipartiteGraph, matching_weight, validate_matching
 from .gk import goldberg_kennedy
 from .hungarian import hungarian
-from .reduction import BalancedReduction
 from .scaling import DEFAULT_ALPHA
 from .tracing import TraceSink
 
 ALGORITHMS = ("auction", "gk", "hungarian")
+TRACED_ALGORITHMS = ("auction", "gk")
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,20 @@ class SolveResult:
     weight: int
 
 
+def require_traced(algorithm: str) -> None:
+    """Raise ``ValueError`` unless ``algorithm`` can write a bid trace."""
+    if algorithm not in TRACED_ALGORITHMS:
+        raise ValueError(
+            f"no traced solver named {algorithm!r}: "
+            "tracing applies to the auction and gk solvers only"
+        )
+
+
 def solve(
     graph: WeightedBipartiteGraph,
     algorithm: str = "auction",
     *,
     alpha: Fraction = DEFAULT_ALPHA,
-    reduction: str | BalancedReduction = "double",
     deadline: Optional[float] = None,
     precheck: bool = True,
     trace_sink: Optional[TraceSink] = None,
@@ -39,11 +47,12 @@ def solve(
     With ``trace_sink`` the auction and gk solvers append one event per bid
     to it, and gk also checks its per-push price identities.
     """
+    if trace_sink is not None:
+        require_traced(algorithm)
     if algorithm == "auction":
         matching = eps_scaling_auction(
             graph,
             alpha=alpha,
-            reduction=reduction,
             trace_sink=trace_sink,
             deadline=deadline,
             precheck=precheck,
@@ -52,18 +61,12 @@ def solve(
         matching = goldberg_kennedy(
             graph,
             alpha=alpha,
-            reduction=reduction,
             trace_sink=trace_sink,
             deadline=deadline,
             precheck=precheck,
             check_identities=trace_sink is not None,
         )
     elif algorithm == "hungarian":
-        if trace_sink is not None:
-            raise ValueError(
-                "no traced solver named 'hungarian': "
-                "tracing applies to the auction and gk solvers only"
-            )
         matching = hungarian(graph, precheck=precheck, deadline=deadline)
     else:
         raise ValueError(f"no solver named {algorithm!r}")

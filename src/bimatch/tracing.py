@@ -170,7 +170,6 @@ def record_trace(
     algorithm: str,
     graph: WeightedBipartiteGraph,
     alpha: Optional[Fraction] = None,
-    reduction: str = "double",
 ) -> tuple[list[TraceEvent], int]:
     """Run one solver with tracing on; return (events, matching weight).
 
@@ -184,7 +183,6 @@ def record_trace(
         graph,
         algorithm,
         alpha=DEFAULT_ALPHA if alpha is None else alpha,
-        reduction=reduction,
         trace_sink=events,
     )
     return events, result.weight

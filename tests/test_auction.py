@@ -166,14 +166,6 @@ class TestScalingDriver:
         matching = eps_scaling_auction(g0(), alpha=Fraction(3, 2))
         assert matching_weight(g0(), matching) == 2
 
-    def test_pad_reduction_agrees(self):
-        for g in random_feasible_graphs(906, 20, max_n=6):
-            w_double = matching_weight(g, eps_scaling_auction(g))
-            w_pad = matching_weight(
-                g, eps_scaling_auction(g, reduction="pad")
-            )
-            assert w_double == w_pad
-
 
 class TestFailureModes:
     def test_precheck_rejects_uncoverable_instance(self):

@@ -99,6 +99,23 @@ class TestSolve:
         assert rc == 2
         assert "tracing applies" in capsys.readouterr().err
 
+    def test_rejected_trace_request_leaves_the_file_alone(self, tmp_path, capsys):
+        trace = tmp_path / "t.tsv"
+        trace.write_bytes(b"kept\n")
+        rc = main(
+            [
+                "solve", "--algo", "hungarian",
+                "--in", str(write_g0(tmp_path)),
+                "--trace", str(trace),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no traced solver named 'hungarian': "
+            "tracing applies to the auction and gk solvers only\n"
+        )
+        assert trace.read_bytes() == b"kept\n"
+
     def test_bad_alpha_exits_2(self, tmp_path, capsys):
         rc = main(
             ["solve", "--alpha", "1", "--in", str(write_g0(tmp_path))]
@@ -114,22 +131,13 @@ class TestSolve:
         inst = tmp_path / "wide.txt"
         write_instance(g, inst)
         custom, default = tmp_path / "custom.tsv", tmp_path / "default.tsv"
-        assert main(["solve", "--algo", "gk", "--alpha", "2", "--reduction",
-                     "pad", "--in", str(inst), "--trace", str(custom)]) == 0
+        assert main(["solve", "--algo", "gk", "--alpha", "2",
+                     "--in", str(inst), "--trace", str(custom)]) == 0
         assert main(["solve", "--algo", "gk", "--in", str(inst),
                      "--trace", str(default)]) == 0
-        expected, _ = record_trace("gk", g, Fraction(2), "pad")
+        expected, _ = record_trace("gk", g, Fraction(2))
         assert list(read_trace_file(custom)) == expected
         assert list(read_trace_file(default)) != expected
-
-    def test_pad_reduction_accepted(self, tmp_path, capsys):
-        path = tmp_path / "wide.txt"
-        write_instance(
-            build_graph(3, 1, [(0, 0, 9), (1, 0, 4), (2, 0, 7)]), path
-        )
-        rc = main(["solve", "--in", str(path), "--reduction", "pad"])
-        assert rc == 0
-        assert capsys.readouterr().out.splitlines() == ["1 0", "weight 4"]
 
 
 class TestVerify:

@@ -18,7 +18,6 @@ from bimatch.reduction import (
     build_reduction,
     column_kernel,
     double_balanced,
-    pad_balanced,
     project_matching,
 )
 from bimatch.solve import solve
@@ -109,11 +108,10 @@ class TestKernelShape:
 
     def test_balanced_input_passes_through(self):
         g = g0()
-        for kind in ("double", "pad"):
-            red = build_reduction(g, kind)
-            assert red.kind == "identity"
-            assert red.graph is g
-            assert red.persons is None
+        red = build_reduction(g)
+        assert red.kind == "identity"
+        assert red.graph is g
+        assert red.persons is None
 
     def test_unshrinkable_input_gets_the_plain_construction(self):
         # 7 x 3, every column of degree 3 or less
@@ -123,17 +121,16 @@ class TestKernelShape:
              (5, 2, 3), (6, 2, 3), (6, 0, 8)],
         )
         assert column_kernel(g) is None
-        for kind, plain in (("double", double_balanced), ("pad", pad_balanced)):
-            red = build_reduction(g, kind)
-            ref = plain(g)
-            assert red.persons is None and red.kind == ref.kind == kind
-            assert list(red.graph.iter_edges()) == list(ref.graph.iter_edges())
-            assert (red.graph.n, red.graph.s) == (ref.graph.n, ref.graph.s)
+        red = build_reduction(g)
+        ref = double_balanced(g)
+        assert red.persons is None and red.kind == ref.kind == "double"
+        assert list(red.graph.iter_edges()) == list(ref.graph.iter_edges())
+        assert (red.graph.n, red.graph.s) == (ref.graph.n, ref.graph.s)
 
     def test_reduction_is_built_on_the_kernel(self):
         g = ties_unbalanced(60, 8, 5)
         small, persons = column_kernel(g)
-        red = build_reduction(g, "double")
+        red = build_reduction(g)
         assert red.persons == persons
         assert (red.orig_n, red.orig_s) == (g.n, g.s)
         assert red.graph.n == small.n + g.s < g.n
@@ -147,34 +144,31 @@ class TestKernelShape:
         )
         small, persons = column_kernel(g)
         assert persons == (1, 3) and small.n == small.s == 2
-        double = build_reduction(g, "double")
+        double = build_reduction(g)
         assert double.kind == "double" and double.graph.n == 4
         best = brute_force_optimum(double.graph)
         assert best is not None and best[1] == 2 * 3
         assert project_matching(double, best[0]).pairs() == [(1, 0), (3, 1)]
-        pad = build_reduction(g, "pad")
-        assert pad.kind == "pad" and pad.graph.n == 2
 
 
 class TestExactness:
-    @pytest.mark.parametrize("kind", ["double", "pad"])
-    def test_weight_equals_brute_force(self, kind):
+    def test_weight_equals_brute_force(self):
         for g in unbalanced_cases():
             best = brute_force_optimum(g)
             assert best is not None
             for algo in ("auction", "gk"):
-                result = solve(g, algo, reduction=kind)
+                result = solve(g, algo)
                 assert_optimal_cover(g, result.matching, best[1])
 
     def test_projection_of_the_balanced_optimum(self):
         checked = 0
         for g in unbalanced_cases():
-            red = build_reduction(g, "pad")
+            red = build_reduction(g)
             if red.persons is None or red.graph.s > 9:
                 continue  # beyond brute force
             base = brute_force_optimum(g)
             best = brute_force_optimum(red.graph)
-            assert best is not None and best[1] == base[1]
+            assert best is not None and best[1] == 2 * base[1]
             assert_optimal_cover(g, project_matching(red, best[0]), base[1])
             checked += 1
         assert checked >= 10
@@ -192,7 +186,7 @@ class TestExactness:
     )
     def test_weight_equals_hungarian_at_full_size(self, spec):
         g = generate(GenSpec(seed=611, **spec))
-        red = build_reduction(g, "double")
+        red = build_reduction(g)
         assert red.persons is not None and red.graph.m < g.m
         referee = hungarian(g)
         weight = matching_weight(g, referee)
@@ -217,9 +211,8 @@ class TestInfeasibleWithoutPrecheck:
         with pytest.raises(InfeasibleInstanceError):
             goldberg_kennedy(g, precheck=False)
         for algo in ("auction", "gk", "hungarian"):
-            for kind in ("double", "pad"):
-                with pytest.raises(InfeasibleInstanceError):
-                    solve(g, algo, reduction=kind, precheck=False)
+            with pytest.raises(InfeasibleInstanceError):
+                solve(g, algo, precheck=False)
 
 
 def test_deadline_is_checked_after_the_reduction():
@@ -238,26 +231,22 @@ class TestTraceEquality:
             out.append(g)
         return out
 
-    @pytest.mark.parametrize("kind", ["double", "pad"])
-    def test_record_trace_and_solve(self, kind):
+    def test_record_trace_and_solve(self):
         for g in self.kernel_instances():
-            auction, w_auction = record_trace("auction", g, reduction=kind)
-            gk, w_gk = record_trace("gk", g, reduction=kind)
+            auction, w_auction = record_trace("auction", g)
+            gk, w_gk = record_trace("gk", g)
             assert auction and auction == gk
             assert w_auction == w_gk == solve(g, "hungarian").weight
             sink: list = []
-            solve(g, "gk", reduction=kind, trace_sink=sink)
+            solve(g, "gk", trace_sink=sink)
             assert sink == auction
 
-    @pytest.mark.parametrize("kind", ["double", "pad"])
-    def test_direct_solver_calls(self, kind):
+    def test_direct_solver_calls(self):
         for g in self.kernel_instances():
             left: list = []
             right: list = []
-            m_a = eps_scaling_auction(g, reduction=kind, trace_sink=left)
-            m_g = goldberg_kennedy(
-                g, reduction=kind, trace_sink=right, check_identities=True
-            )
+            m_a = eps_scaling_auction(g, trace_sink=left)
+            m_g = goldberg_kennedy(g, trace_sink=right, check_identities=True)
             assert left and left == right
             assert m_a == m_g
             assert validate_matching(g, m_a, require_perfect=True) is None

@@ -9,9 +9,7 @@ from bimatch.oracle import brute_force_optimum
 from bimatch.reduction import (
     build_reduction,
     double_balanced,
-    pad_balanced,
     project_matching,
-    resolve_reduction,
 )
 
 from conftest import g0, random_feasible_graphs
@@ -66,18 +64,7 @@ class TestDoubleBalanced:
             double_balanced(build_graph(1, 2, [(0, 0, 1), (0, 1, 1)]))
 
 
-class TestPadBalanced:
-    def test_pads_with_zero_weight_columns(self):
-        g = worked_example()
-        red = pad_balanced(g)
-        big = red.graph
-        assert (big.n, big.s) == (2, 2)
-        assert big.weight(0, 1) == 0 and big.weight(1, 1) == 0
-        best = brute_force_optimum(big)
-        assert best is not None and best[1] == 3
-        projected = project_matching(red, best[0])
-        assert matching_weight(g, projected) == 3
-
+class TestBuildReduction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown reduction"):
             build_reduction(g0(), "fold")
@@ -89,14 +76,8 @@ class TestProjection:
         with pytest.raises(ValueError, match="perfect"):
             project_matching(red, Matching(red.graph.n, red.graph.s))
 
-    def test_resolve_passthrough_validates_shape(self):
-        red = double_balanced(worked_example())
-        assert resolve_reduction(worked_example(), red) is red
-        with pytest.raises(ValueError, match="another graph"):
-            resolve_reduction(g0(), red)
 
-
-class TestBothReductionsAgreeWithOracle:
+class TestReductionAgreesWithOracle:
     def test_random_unbalanced_instances(self):
         # max_n 5 keeps the doubled graph within the brute-force size cap
         checked = 0
@@ -105,16 +86,11 @@ class TestBothReductionsAgreeWithOracle:
                 continue
             base = brute_force_optimum(g)
             assert base is not None
-            for kind in ("double", "pad"):
-                red = build_reduction(g, kind)
-                best = brute_force_optimum(red.graph)
-                assert best is not None
-                projected = project_matching(red, best[0])
-                assert validate_matching(g, projected, require_perfect=True) is None
-                assert matching_weight(g, projected) == base[1]
-                if kind == "double":
-                    assert best[1] == 2 * base[1]
-                else:
-                    assert best[1] == base[1]
+            red = build_reduction(g)
+            best = brute_force_optimum(red.graph)
+            assert best is not None and best[1] == 2 * base[1]
+            projected = project_matching(red, best[0])
+            assert validate_matching(g, projected, require_perfect=True) is None
+            assert matching_weight(g, projected) == base[1]
             checked += 1
         assert checked >= 20

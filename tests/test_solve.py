@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from bimatch.core import Matching, build_graph
-from bimatch.reduction import build_reduction
 from bimatch.solve import ALGORITHMS, solve, verify_solution
 
 from conftest import g0, random_feasible_graphs
@@ -33,16 +32,6 @@ class TestSolve:
     def test_tracing_hungarian_is_an_error(self):
         with pytest.raises(ValueError, match="tracing applies"):
             solve(g0(), "hungarian", trace_sink=[])
-
-    def test_prebuilt_reduction_is_reusable_across_algorithms(self):
-        for g in random_feasible_graphs(1101, 10, max_n=6):
-            red = build_reduction(g, "double")
-            weights = {
-                solve(g, algo, reduction=red).weight
-                for algo in ("auction", "gk")
-            }
-            weights.add(solve(g, "hungarian").weight)
-            assert len(weights) == 1
 
 
 class TestVerifySolution:

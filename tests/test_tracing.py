@@ -119,9 +119,3 @@ class TestRecordTrace:
             ev_g, w_g = record_trace("gk", g)
             assert w_a == w_g
             assert compare_traces(ev_a, ev_g) is None
-
-    def test_trace_equivalence_survives_the_pad_reduction(self):
-        for g in random_feasible_graphs(9002, 15, max_n=6):
-            ev_a, _ = record_trace("auction", g, reduction="pad")
-            ev_g, _ = record_trace("gk", g, reduction="pad")
-            assert compare_traces(ev_a, ev_g) is None
