@@ -6,6 +6,11 @@ stored compressed (offsets plus contiguous neighbor/weight arrays) because
 the solvers' inner loops are linear scans over one vertex's edges.  Graphs
 are immutable after construction; matchings and price vectors are plain
 mutable state owned by one solver run at a time.
+
+Edges from outside the package (callers, instance files) are validated by
+:func:`build_graph` or by the reader's own checks; producers whose rows are
+valid by construction (the generators, the reductions) lay out the
+adjacency arrays themselves, without a validating pass.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add, lt, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -75,48 +82,79 @@ class WeightedBipartiteGraph:
             raise ValueError(f"({u}, {v}) is not an edge")
         return self.adj_w[i]
 
+    @classmethod
+    def from_csr(
+        cls,
+        n: int,
+        s: int,
+        adj_off: Iterable[int],
+        adj_v: Iterable[int],
+        adj_w: Iterable[int],
+    ) -> "WeightedBipartiteGraph":
+        """Wrap adjacency rows that are already valid: ints, indices in
+        range, each row strictly ascending.  Nothing is checked; edges from
+        outside the package go through :func:`build_graph`."""
+        adj_w = tuple(adj_w)
+        return cls(
+            n=n,
+            s=s,
+            adj_off=tuple(adj_off),
+            adj_v=tuple(adj_v),
+            adj_w=adj_w,
+            max_abs_weight=max(max(adj_w, default=0), -min(adj_w, default=0)),
+        )
+
 
 def build_graph(n: int, s: int, edges: Iterable[Edge]) -> WeightedBipartiteGraph:
-    """Construct a graph, rejecting out-of-range indices and duplicate pairs.
+    """Construct a graph from edges in any order, validating every one.
 
-    Empty neighborhoods are legal here; whether every right vertex can be
-    covered is a separate question (see :mod:`bimatch.feasibility`).
+    The contract, error precedence included:
+
+    1. ``n < 1`` or ``s < 1`` raises before any edge is read.
+    2. Edges are read once, in input order.  Each ``(u, v, w)`` is coerced
+       with ``int()``, then its left and then its right index is checked,
+       so the first edge that fails coercion or is out of range raises.
+    3. Only when every edge is in range are duplicate pairs looked for; the
+       one reported is the smallest duplicated ``(u, v)``.
+
+    Input already in strictly ascending ``(u, v)`` order, as every producer
+    in this package emits it, is laid out as it comes; other input is
+    sorted once.  Empty neighborhoods are legal here; whether every right
+    vertex can be covered is a separate question (see
+    :mod:`bimatch.feasibility`).
     """
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
-    per_u: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    keys: list[int] = []
+    adj_v: list[int] = []
+    adj_w: list[int] = []
     for u, v, w in edges:
         u, v, w = int(u), int(v), int(w)
         if not 0 <= u < n:
             raise ValueError(f"left index {u} out of range [0, {n})")
         if not 0 <= v < s:
             raise ValueError(f"right index {v} out of range [0, {s})")
-        per_u[u].append((v, w))
-    off = [0] * (n + 1)
-    adj_v: list[int] = []
-    adj_w: list[int] = []
-    w_max = 0
-    for u in range(n):
-        row = per_u[u]
-        row.sort()
-        prev = -1
-        for v, w in row:
-            if v == prev:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            prev = v
-            adj_v.append(v)
-            adj_w.append(w)
-            if abs(w) > w_max:
-                w_max = abs(w)
-        off[u + 1] = len(adj_v)
-    return WeightedBipartiteGraph(
-        n=n,
-        s=s,
-        adj_off=tuple(off),
-        adj_v=tuple(adj_v),
-        adj_w=tuple(adj_w),
-        max_abs_weight=w_max,
-    )
+        keys.append(u * s + v)
+        adj_v.append(v)
+        adj_w.append(w)
+    return _csr(n, s, keys, adj_v, adj_w)
+
+
+def _csr(
+    n: int, s: int, keys: list[int], adj_v: list[int], adj_w: list[int]
+) -> WeightedBipartiteGraph:
+    """Rule 3 of :func:`build_graph` and the layout, for in-range edges in
+    input order given as keys ``u * s + v``, right indices and weights."""
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[i] for i in order]
+        for a, b in zip(keys, islice(keys, 1, None)):
+            if a == b:
+                raise ValueError("duplicate edge (%d, %d)" % divmod(a, s))
+        adj_v = [adj_v[i] for i in order]
+        adj_w = [adj_w[i] for i in order]
+    off = [bisect_left(keys, u * s) for u in range(n + 1)]
+    return WeightedBipartiteGraph.from_csr(n, s, off, adj_v, adj_w)
 
 
 def density(graph: WeightedBipartiteGraph) -> Fraction:
@@ -257,13 +295,23 @@ def check_eps_cs(
 
 
 def write_instance(graph: WeightedBipartiteGraph, path: str | Path) -> None:
+    off = graph.adj_off
+    # (v, w) pairs interleaved, so one row is one slice and one write.
+    flat: list[int] = [0] * (2 * graph.m)
+    flat[0::2] = graph.adj_v
+    flat[1::2] = graph.adj_w
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{graph.n} {graph.s} {graph.m}\n")
-        for u, v, w in graph.iter_edges():
-            fh.write(f"{u} {v} {w}\n")
+        for u in range(graph.n):
+            lo, hi = off[u], off[u + 1]
+            if hi > lo:
+                fh.write((f"{u} %d %d\n" * (hi - lo)) % tuple(flat[2 * lo : 2 * hi]))
 
 
 def read_instance(path: str | Path) -> WeightedBipartiteGraph:
+    """Parse an instance file.  Faults are reported in file order: a bad
+    header, then the first edge line that is not three integers, then
+    trailing content, then whatever :func:`build_graph` reports first."""
     with open(path, "r", encoding="ascii") as fh:
         # One read; newlines are already translated, so splitting on "\n"
         # gives the same lines as ``readline`` would.
@@ -277,19 +325,34 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
         raise ValueError(f"bad header {header!r}") from None
     if m < 0:
         raise ValueError(f"bad header {header!r}: negative edge count")
-    edges: list[Edge] = []
-    add_edge = edges.append
-    for line in lines[1 : m + 1]:
+    body = lines[1 : m + 1]
+    if len(body) < m or list(map(len, map(str.split, body))).count(3) < m:
+        raise _first_bad_line(body)
+    try:
+        flat = list(map(int, " ".join(body).split()))
+    except ValueError:
+        raise _first_bad_line(body) from None
+    if any(line.strip() for line in lines[m + 1 :]):
+        raise ValueError("trailing content after the declared edges")
+    us, vs, ws = flat[0::3], flat[1::3], flat[2::3]
+    if n < 1 or s < 1 or (
+        m and not (min(us) >= 0 and max(us) < n and min(vs) >= 0 and max(vs) < s)
+    ):
+        return build_graph(n, s, zip(us, vs, ws))  # raises the first fault
+    return _csr(n, s, list(map(add, map(mul, us, repeat(s)), vs)), vs, ws)
+
+
+def _first_bad_line(body: list[str]) -> ValueError:
+    """The error for the first of ``body``'s lines that is not three
+    integers, or for the first missing line."""
+    for k, line in enumerate(body):
         parts = line.split()
         if len(parts) != 3:
             break
-        u, v, w = parts
         try:
-            add_edge((int(u), int(v), int(w)))
+            list(map(int, parts))
         except ValueError:
-            raise ValueError(f"bad edge line {parts!r}") from None
-    if len(edges) < m:
-        raise ValueError(f"edge line {len(edges) + 1} must be 'u v w'")
-    if any(line.strip() for line in lines[m + 1 :]):
-        raise ValueError("trailing content after the declared edges")
-    return build_graph(n, s, edges)
+            return ValueError(f"bad edge line {parts!r}")
+    else:
+        k = len(body)
+    return ValueError(f"edge line {k + 1} must be 'u v w'")

@@ -21,6 +21,15 @@ Three weight models layered on a structure: ``uniform`` on 1..100000,
 
 Structure and weights draw from separate seeded streams, so one seed yields
 the same edge set under every weight model.
+
+Both structure models write their rows straight into the compressed
+adjacency arrays, already sorted and valid, without building edge tuples.
+``erdos_renyi`` takes its Bernoulli rows in blocks of several rows per
+``random`` call.  That keeps the stream: the generator fills an array in
+row order, one 64-bit draw per double, so a ``(k, s)`` block consumes
+exactly the doubles of ``k`` successive ``random(s)`` calls, and the graph
+of a seed does not depend on the block size.  ``dispersed_degree`` makes
+its draws one vertex at a time, in the same order as ever.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import WeightedBipartiteGraph, build_graph
+from .core import WeightedBipartiteGraph
 from .rng import GRAPH_STREAM, WEIGHT_STREAM, make_rng
 
 EDGE_MODELS = ("erdos_renyi", "dispersed_degree")
@@ -39,6 +48,10 @@ WEIGHT_MODELS = ("uniform", "uniform_low_high", "low_or_high")
 
 WEIGHT_MAX = 100_000
 WEIGHT_LOW_MAX = 1_000
+
+# Cells per block of the Erdos-Renyi draw: bounds its temporary arrays at
+# half a megabyte of doubles, however large n * s is.
+_BLOCK_CELLS = 1 << 16
 
 
 def round_half_up(x: float) -> int:
@@ -101,15 +114,26 @@ def dispersion_radius(s: int, d: float, r_norm: float) -> int:
 
 
 def erdos_renyi(n: int, s: int, d: float, seed: int) -> WeightedBipartiteGraph:
-    """Bernoulli(d) per pair; weights all zero (assign a weight model next)."""
+    """Bernoulli(d) per pair; weights all zero (assign a weight model next).
+
+    Row ``u`` is ``random(s) < d`` on the structure stream.  The rows are
+    drawn ``_BLOCK_CELLS // s`` at a time (at least one) as a ``(k, s)``
+    array: the generator fills it in row order from the same stream, so a
+    block consumes exactly the doubles that ``k`` successive ``random(s)``
+    calls would, and the graph does not depend on the block size.
+    """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"density parameter {d} outside [0, 1]")
     rng = make_rng(seed, GRAPH_STREAM)
-    edges = []
-    for u in range(n):
-        for v in np.flatnonzero(rng.random(s) < d):
-            edges.append((u, int(v), 0))
-    return build_graph(n, s, edges)
+    block = max(1, _BLOCK_CELLS // s)
+    off = [0]
+    adj_v: list[int] = []
+    for first in range(0, n, block):
+        k = min(block, n - first)
+        rows, cols = np.nonzero(rng.random((k, s)) < d)
+        adj_v += cols.tolist()
+        off += (np.cumsum(np.bincount(rows, minlength=k)) + off[-1]).tolist()
+    return _unweighted(n, s, off, adj_v)
 
 
 def dispersed_degree(
@@ -133,38 +157,50 @@ def dispersed_degree(
     rng = make_rng(seed, GRAPH_STREAM)
     degrees = rng.integers(lo, hi + 1, size=n)
     pool = list(range(s))
-    edges = []
-    for u in range(n):
-        k = int(degrees[u])
-        if k == 0:
-            continue
-        # Partial Fisher-Yates over a reusable pool: k swaps select a
-        # uniform k-subset, then the swaps are undone in reverse so the
-        # pool is pristine for the next vertex. O(k) per vertex.
-        offsets = rng.integers(0, s - np.arange(k))
-        for i in range(k):
-            j = i + int(offsets[i])
-            pool[i], pool[j] = pool[j], pool[i]
-        for i in range(k):
-            edges.append((u, pool[i], 0))
-        for i in range(k - 1, -1, -1):
-            j = i + int(offsets[i])
-            pool[i], pool[j] = pool[j], pool[i]
-    return build_graph(n, s, edges)
+    off = [0]
+    adj_v: list[int] = []
+    for k in degrees.tolist():
+        if k:
+            # Partial Fisher-Yates over a reusable pool: k swaps select a
+            # uniform k-subset, then the swaps are undone in reverse so the
+            # pool is pristine for the next vertex. O(k) per vertex.
+            swaps = list(enumerate(rng.integers(0, s - np.arange(k)).tolist()))
+            for i, j in swaps:
+                j += i
+                pool[i], pool[j] = pool[j], pool[i]
+            adj_v += sorted(pool[:k])
+            for i, j in reversed(swaps):
+                j += i
+                pool[i], pool[j] = pool[j], pool[i]
+        off.append(len(adj_v))
+    return _unweighted(n, s, off, adj_v)
+
+
+def _unweighted(
+    n: int, s: int, off: list[int], adj_v: list[int]
+) -> WeightedBipartiteGraph:
+    # Rows are sorted and in range by construction; every weight is 0.
+    return WeightedBipartiteGraph(
+        n=n,
+        s=s,
+        adj_off=tuple(off),
+        adj_v=tuple(adj_v),
+        adj_w=(0,) * len(adj_v),
+        max_abs_weight=0,
+    )
 
 
 def _reweight(
     graph: WeightedBipartiteGraph, weights: np.ndarray
 ) -> WeightedBipartiteGraph:
     # Adjacency arrays are already sorted; swap the weight column.
-    w = tuple(int(x) for x in weights)
     return WeightedBipartiteGraph(
         n=graph.n,
         s=graph.s,
         adj_off=graph.adj_off,
         adj_v=graph.adj_v,
-        adj_w=w,
-        max_abs_weight=max(abs(x) for x in w),
+        adj_w=tuple(weights.tolist()),
+        max_abs_weight=int(np.abs(weights).max()),
     )
 
 

@@ -41,10 +41,12 @@ Column kernel
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Literal, Optional
 
-from .core import Edge, Matching, WeightedBipartiteGraph, build_graph
+from .core import Matching, WeightedBipartiteGraph
 from .errors import InfeasibleInstanceError
 
 ReductionKind = Literal["identity", "double"]
@@ -75,13 +77,29 @@ def _require_reducible(graph: WeightedBipartiteGraph) -> None:
 
 def _mirror(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     n, s = graph.n, graph.s
-    edges: list[Edge] = []
-    for u, v, w in graph.iter_edges():
-        edges.append((u, v, w))
-        edges.append((n + v, s + u, w))
+    off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
+    # Rows u < n: the original row, then the bridge (u, s + u, 0), whose
+    # index s + u exceeds every original right index.
+    big_off = [0]
+    big_v: list[int] = []
+    big_w: list[int] = []
     for u in range(n):
-        edges.append((u, s + u, 0))
-    return build_graph(n + s, s + n, edges)
+        lo, hi = off[u], off[u + 1]
+        big_v += adj_v[lo:hi]
+        big_v.append(s + u)
+        big_w += adj_w[lo:hi]
+        big_w.append(0)
+        big_off.append(len(big_v))
+    # Rows n + v: the mirrored copies (n + v, s + u) in ascending u, i.e.
+    # the transpose; a stable sort by v keeps each column's u ascending.
+    owner = [u for u in range(n) for _ in range(off[u], off[u + 1])]
+    by_v = sorted(range(graph.m), key=adj_v.__getitem__)
+    cols = [adj_v[i] for i in by_v]
+    base = len(big_v)
+    big_v += [s + owner[i] for i in by_v]
+    big_w += [adj_w[i] for i in by_v]
+    big_off += [base + bisect_left(cols, v) for v in range(1, s + 1)]
+    return WeightedBipartiteGraph.from_csr(n + s, s + n, big_off, big_v, big_w)
 
 
 def double_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
@@ -120,14 +138,24 @@ def column_kernel(
                 f"{s} right vertices; no covering matching exists"
             )
         return None
-    kept: list[Edge] = []
-    for v, col in enumerate(cols):
-        for key in heapq.nsmallest(s, col):
-            w, u = divmod(key, n)
-            kept.append((u, v, w))
-    persons = sorted({u for u, _, _ in kept})
+    kept = [heapq.nsmallest(s, col) for col in cols]
+    persons = sorted({key % n for col in kept for key in col})
     index = {u: i for i, u in enumerate(persons)}
-    kernel = build_graph(len(persons), s, [(index[u], v, w) for u, v, w in kept])
+    # Columns are visited in ascending v, so every row comes out sorted.
+    row_v: list[list[int]] = [[] for _ in persons]
+    row_w: list[list[int]] = [[] for _ in persons]
+    for v, col in enumerate(kept):
+        for key in col:
+            w, u = divmod(key, n)
+            row_v[index[u]].append(v)
+            row_w[index[u]].append(w)
+    kernel = WeightedBipartiteGraph.from_csr(
+        len(persons),
+        s,
+        accumulate(map(len, row_v), initial=0),
+        chain.from_iterable(row_v),
+        chain.from_iterable(row_w),
+    )
     return kernel, tuple(persons)
 
 

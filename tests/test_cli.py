@@ -116,6 +116,37 @@ class TestSolve:
         )
         assert trace.read_bytes() == b"kept\n"
 
+    # The messages and exit codes of the reader written one line per
+    # edge, before it parsed straight into the adjacency arrays.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "header must be 'n s m'"),
+            ("2 x 1\n0 0 1\n", "bad header ['2', 'x', '1']"),
+            ("2 2 -1\n", "bad header ['2', '2', '-1']: negative edge count"),
+            ("0 2 0\n", "need n >= 1 and s >= 1"),
+            ("2 2 2\n0 0 1\n1 1\n", "edge line 2 must be 'u v w'"),
+            ("2 2 3\n0 0 x\n1 1\n1 0 1\n", "bad edge line ['0', '0', 'x']"),
+            ("2 2 3\n0 0 1\n1 1 1\n", "edge line 3 must be 'u v w'"),
+            ("2 2 1\n0 0 1\n1 1 1\n", "trailing content after the declared edges"),
+            ("2 2 2\n0 0 1\n2 1 1\n", "left index 2 out of range [0, 2)"),
+            ("2 2 2\n0 0 1\n1 -1 1\n", "right index -1 out of range [0, 2)"),
+            ("2 2 3\n0 0 1\n1 1 1\n0 0 2\n", "duplicate edge (0, 0)"),
+            # a duplicate and an out-of-range index, in both orders
+            ("2 2 3\n0 1 1\n0 1 2\n1 5 1\n", "right index 5 out of range [0, 2)"),
+            ("2 2 3\n1 5 1\n0 1 1\n0 1 2\n", "right index 5 out of range [0, 2)"),
+            ("3 3 5\n2 2 1\n1 0 1\n2 2 1\n1 0 4\n0 0 0\n", "duplicate edge (1, 0)"),
+        ],
+    )
+    def test_malformed_file_exits_2_with_the_first_fault(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["solve", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_bad_alpha_exits_2(self, tmp_path, capsys):
         rc = main(
             ["solve", "--alpha", "1", "--in", str(write_g0(tmp_path))]

@@ -54,6 +54,40 @@ class TestBuildGraph:
         g = build_graph(3, 2, [(0, 0, 1)])
         assert g.degree(1) == 0 and g.degree(2) == 0
 
+    def test_shuffled_edges_build_the_sorted_graph(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(1, 9), rng.randint(1, 9), 0.5, -9, 9)
+            edges = list(g.iter_edges())
+            rng.shuffle(edges)
+            assert build_graph(g.n, g.s, edges) == g
+            assert build_graph(g.n, g.s, iter(edges)) == g
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # an out-of-range index beats a duplicate, wherever each comes
+            ([(0, 1, 1), (0, 1, 2), (1, 5, 1)], r"right index 5 out of range"),
+            ([(1, 5, 1), (0, 1, 1), (0, 1, 2)], r"right index 5 out of range"),
+            ([(0, 1, 1), (0, 1, 2), (3, 0, 1)], r"left index 3 out of range"),
+            # among faults of one kind, the first in input order ...
+            ([(0, 0, 1), (0, 9, 1), (7, 0, 1)], r"right index 9 out of range"),
+            ([(0, 0, 1), ("x", 0, 1), (7, 0, 1)], r"invalid literal"),
+            ([(0, 0, 1), (7, 0, 1), ("x", 0, 1)], r"left index 7 out of range"),
+            ([(9, 0, "x")], r"invalid literal"),
+            # ... except duplicates: the smallest duplicated pair
+            ([(1, 1, 0), (0, 1, 0), (1, 1, 5), (0, 1, 3)], r"duplicate edge \(0, 1\)"),
+        ],
+    )
+    def test_first_fault_wins(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            build_graph(2, 2, edges)
+
+    def test_coerces_with_int(self):
+        g = build_graph(2, 2, [("1", 1.0, True), (0, 0, "-4")])
+        assert g == build_graph(2, 2, [(0, 0, -4), (1, 1, 1)])
+        assert all(type(x) is int for x in g.adj_v + g.adj_w)
+
     def test_weight_lookup(self):
         g = g0()
         assert g.weight(0, 1) == 3
@@ -209,7 +243,42 @@ class TestCheckEpsCs:
         assert check_eps_cs(g, shifted, m, eps1) == base
 
 
+def write_per_edge(graph, path):
+    """The writer as it was, one write per edge: the reference format."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"{graph.n} {graph.s} {graph.m}\n")
+        for u, v, w in graph.iter_edges():
+            fh.write(f"{u} {v} {w}\n")
+
+
 class TestInstanceFile:
+    @pytest.mark.parametrize(
+        "n, s, edges",
+        [
+            (1, 1, [(0, 0, 7)]),
+            (1, 3, [(0, 0, -1), (0, 2, 0)]),
+            (3, 3, []),
+            (5, 3, [(0, 1, -5), (2, 0, 3), (2, 2, -100000), (3, 1, 0)]),  # empty rows
+            (4, 2, [(0, 0, 1), (1, 1, 2)]),  # empty last rows
+        ],
+    )
+    def test_writer_matches_the_per_edge_writer(self, tmp_path, n, s, edges):
+        g = build_graph(n, s, edges)
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_instance(g, a)
+        write_per_edge(g, b)
+        assert a.read_bytes() == b.read_bytes()
+        assert read_instance(a) == g
+
+    def test_writer_matches_the_per_edge_writer_on_random_graphs(self, tmp_path):
+        rng = random.Random(4)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 12), rng.randint(1, 12), 0.4, -50, 50)
+            a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+            write_instance(g, a)
+            write_per_edge(g, b)
+            assert a.read_bytes() == b.read_bytes()
+
     def test_roundtrip(self, tmp_path):
         g = g0()
         path = tmp_path / "g0.txt"
@@ -253,6 +322,16 @@ class TestInstanceFile:
         path.write_text("2 2 1\n0 0 5\n\n1 1 7\n")
         with pytest.raises(ValueError, match="trailing"):
             read_instance(path)
+
+    def test_unsorted_file_reads_as_the_sorted_graph(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("2 2 4\n1 1 1\n0 1 3\n1 0 2\n0 0 1\n")
+        assert read_instance(path) == g0()
+
+    def test_reads_what_int_reads(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("2 2 4\n0 0 +1\n0\t1 3\n1 0 0_2\n  1 1 01  \n")
+        assert read_instance(path) == g0()
 
     def test_trailing_blank_lines_are_fine(self, tmp_path):
         path = tmp_path / "ok.txt"

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimatch.core import density
+from bimatch.core import build_graph, density, write_instance
 from bimatch.gen import (
+    _BLOCK_CELLS,
     WEIGHT_LOW_MAX,
     WEIGHT_MAX,
     GenSpec,
@@ -22,6 +25,7 @@ from bimatch.gen import (
     generate,
     round_half_up,
 )
+from bimatch.rng import GRAPH_STREAM, make_rng
 
 from conftest import complete_graph
 
@@ -168,8 +172,6 @@ class TestWeightModels:
         }
 
     def test_edgeless_graph_rejected(self):
-        from bimatch.core import build_graph
-
         empty = build_graph(3, 3, [])
         for fn in (
             lambda: assign_uniform_weights(empty, 0),
@@ -182,8 +184,6 @@ class TestWeightModels:
 
 class TestGenerate:
     def test_same_spec_same_instance(self, tmp_path):
-        from bimatch.core import write_instance
-
         spec = GenSpec(
             model="dispersed_degree", n=40, s=30, d=0.4,
             weight_model="uniform_low_high", seed=123, r_norm=0.3, p_low=0.2,
@@ -207,3 +207,105 @@ class TestGenerate:
             GenSpec(model="erdos_renyi", n=3, s=3, d=0.0, weight_model="uniform", seed=0)
         )
         assert g.m == 0
+
+
+# Reference generators: the per-row and per-edge loops the block-drawn
+# generators replaced.  Same seed, same graph.
+
+
+def erdos_renyi_per_row(n, s, d, seed):
+    rng = make_rng(seed, GRAPH_STREAM)
+    edges = []
+    for u in range(n):
+        for v in np.flatnonzero(rng.random(s) < d):
+            edges.append((u, int(v), 0))
+    return build_graph(n, s, edges)
+
+
+def dispersed_degree_per_edge(n, s, d, r, seed):
+    c = round_half_up(d * s)
+    rng = make_rng(seed, GRAPH_STREAM)
+    degrees = rng.integers(c - r, c + r + 1, size=n)
+    pool = list(range(s))
+    edges = []
+    for u in range(n):
+        k = int(degrees[u])
+        if k == 0:
+            continue
+        offsets = rng.integers(0, s - np.arange(k))
+        for i in range(k):
+            j = i + int(offsets[i])
+            pool[i], pool[j] = pool[j], pool[i]
+        for i in range(k):
+            edges.append((u, pool[i], 0))
+        for i in range(k - 1, -1, -1):
+            j = i + int(offsets[i])
+            pool[i], pool[j] = pool[j], pool[i]
+    return build_graph(n, s, edges)
+
+
+ROWS_PER_BLOCK_AT_300 = _BLOCK_CELLS // 300
+
+# sha256 of each instance file, computed before the generators and the
+# writer were rewritten, so that a change to either shows here.
+PINNED_DIGESTS = {
+    ("erdos_renyi", "uniform"):
+        "91d042133d2f66964813e714ff95e574aa11dc2d681a9089a0f5c34b6c5e8f09",
+    ("erdos_renyi", "uniform_low_high"):
+        "3087a7d5d5a006ef0a8d38d2d09073165cae2190278b16f303015c5ab7789ee4",
+    ("erdos_renyi", "low_or_high"):
+        "4eaef2ede28b6a33556207a803f8cd3c5f27a7f52effbbc6d7390e7b2f4d9067",
+    ("dispersed_degree", "uniform"):
+        "a72af6e5325ceab9cbefd62879521df81e29458e1c830be2c77b93fef6036bbf",
+    ("dispersed_degree", "uniform_low_high"):
+        "65d4c4f417d07f811f92d05cd2eb2ed2289e6452affa51c3cb77690a249ece15",
+    ("dispersed_degree", "low_or_high"):
+        "8a0644101d032db9b4cee0837b981b2c053efb45d0f93be0205304f17f8435b4",
+}
+
+
+class TestBlockDrawsKeepTheStream:
+    @pytest.mark.parametrize(
+        "n, s, d",
+        [
+            (1, 9, 0.5),
+            (1, 1, 1.0),
+            (30, 20, 0.0),
+            (30, 20, 1.0),
+            (2 * ROWS_PER_BLOCK_AT_300 + 7, 300, 0.3),  # a short last block
+            (ROWS_PER_BLOCK_AT_300, 300, 0.5),  # exactly one full block
+            (3, _BLOCK_CELLS + 17, 0.01),  # more cells than a block: one row each
+        ],
+    )
+    def test_erdos_renyi_equals_per_row_draws(self, n, s, d):
+        for seed in (0, 5, 2**40 + 3):
+            assert erdos_renyi(n, s, d, seed) == erdos_renyi_per_row(n, s, d, seed)
+
+    @pytest.mark.parametrize(
+        "n, s, d, r",
+        [
+            (1, 9, 0.5, 2),
+            (1, 1, 1.0, 0),
+            (30, 20, 0.0, 0),
+            (30, 20, 1.0, 0),
+            (300, 40, 0.3, 12),
+            (50, 7, 0.5, 3),
+        ],
+    )
+    def test_dispersed_degree_equals_per_edge_draws(self, n, s, d, r):
+        for seed in (0, 5, 2**40 + 3):
+            assert dispersed_degree(n, s, d, r, seed) == dispersed_degree_per_edge(
+                n, s, d, r, seed
+            )
+
+    @pytest.mark.parametrize("model, weights", sorted(PINNED_DIGESTS))
+    def test_instance_file_digest_is_pinned(self, tmp_path, model, weights):
+        spec = GenSpec(
+            model=model, n=40, s=30, d=0.3, weight_model=weights, seed=2024,
+            r_norm=0.5 if model == "dispersed_degree" else None,
+            p_low=None if weights == "uniform" else 0.3,
+        )
+        path = tmp_path / "g.txt"
+        write_instance(generate(spec), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_DIGESTS[model, weights]

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -103,3 +104,29 @@ def test_columns_competing_for_the_same_cheap_vertices():
         )
         assert column_kernel(g)[1] == tuple(range(s))
         assert_every_solver_matches_scipy(g, f"seed {seed}")
+
+
+# s < n at a few thousand left vertices, where the column kernel shrinks the
+# graph to at most s**2 edges: s = ceil(sqrt(n)) and s = ceil(log2(n)).
+SWEEP = [
+    pytest.param(n, rule, model, id=f"{model}-{n}-s={rule}")
+    for n in (1500, 4000)
+    for rule in ("sqrt", "log")
+    for model in ("erdos_renyi", "dispersed_degree")
+]
+
+
+@pytest.mark.parametrize("n, rule, model", SWEEP)
+def test_seeded_sweep_with_a_shrinking_kernel(n, rule, model):
+    s = math.ceil(math.sqrt(n) if rule == "sqrt" else math.log2(n))
+    knobs = {"r_norm": 0.5} if model == "dispersed_degree" else {}
+    for seed, weights in (
+        (n + 1, dict(weight_model="uniform")),
+        (n + 2, dict(weight_model="low_or_high", p_low=0.3)),
+    ):
+        where = f"seed {seed}, {model} n={n} s={s}, {weights}"
+        spec = GenSpec(model=model, n=n, s=s, d=0.2, seed=seed, **knobs, **weights)
+        g = generate(spec)
+        assert is_feasible(g), where
+        assert column_kernel(g) is not None, where
+        assert_every_solver_matches_scipy(g, where)
