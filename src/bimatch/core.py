@@ -8,9 +8,9 @@ are immutable after construction; matchings and price vectors are plain
 mutable state owned by one solver run at a time.
 
 Edges from outside the package (callers, instance files) are validated by
-:func:`build_graph` or by the reader's own checks; producers whose rows are
-valid by construction (the generators, the reductions) lay out the
-adjacency arrays themselves, without a validating pass.
+:func:`build_graph`; producers whose rows are valid by construction (the
+generators, the reductions) lay out the adjacency arrays themselves, without
+a validating pass.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from operator import add, lt, mul
+from itertools import islice
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -137,14 +137,6 @@ def build_graph(n: int, s: int, edges: Iterable[Edge]) -> WeightedBipartiteGraph
         keys.append(u * s + v)
         adj_v.append(v)
         adj_w.append(w)
-    return _csr(n, s, keys, adj_v, adj_w)
-
-
-def _csr(
-    n: int, s: int, keys: list[int], adj_v: list[int], adj_w: list[int]
-) -> WeightedBipartiteGraph:
-    """Rule 3 of :func:`build_graph` and the layout, for in-range edges in
-    input order given as keys ``u * s + v``, right indices and weights."""
     if not all(map(lt, keys, islice(keys, 1, None))):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
@@ -325,34 +317,19 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
         raise ValueError(f"bad header {header!r}") from None
     if m < 0:
         raise ValueError(f"bad header {header!r}: negative edge count")
-    body = lines[1 : m + 1]
-    if len(body) < m or list(map(len, map(str.split, body))).count(3) < m:
-        raise _first_bad_line(body)
-    try:
-        flat = list(map(int, " ".join(body).split()))
-    except ValueError:
-        raise _first_bad_line(body) from None
-    if any(line.strip() for line in lines[m + 1 :]):
-        raise ValueError("trailing content after the declared edges")
-    us, vs, ws = flat[0::3], flat[1::3], flat[2::3]
-    if n < 1 or s < 1 or (
-        m and not (min(us) >= 0 and max(us) < n and min(vs) >= 0 and max(vs) < s)
-    ):
-        return build_graph(n, s, zip(us, vs, ws))  # raises the first fault
-    return _csr(n, s, list(map(add, map(mul, us, repeat(s)), vs)), vs, ws)
-
-
-def _first_bad_line(body: list[str]) -> ValueError:
-    """The error for the first of ``body``'s lines that is not three
-    integers, or for the first missing line."""
-    for k, line in enumerate(body):
+    edges: list[Edge] = []
+    add_edge = edges.append
+    for line in lines[1 : m + 1]:
         parts = line.split()
         if len(parts) != 3:
             break
+        u, v, w = parts
         try:
-            list(map(int, parts))
+            add_edge((int(u), int(v), int(w)))
         except ValueError:
-            return ValueError(f"bad edge line {parts!r}")
-    else:
-        k = len(body)
-    return ValueError(f"edge line {k + 1} must be 'u v w'")
+            raise ValueError(f"bad edge line {parts!r}") from None
+    if len(edges) < m:
+        raise ValueError(f"edge line {len(edges) + 1} must be 'u v w'")
+    if any(line.strip() for line in lines[m + 1 :]):
+        raise ValueError("trailing content after the declared edges")
+    return build_graph(n, s, edges)

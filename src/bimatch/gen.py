@@ -124,6 +124,8 @@ def erdos_renyi(n: int, s: int, d: float, seed: int) -> WeightedBipartiteGraph:
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"density parameter {d} outside [0, 1]")
+    if n < 1 or s < 1:
+        raise ValueError("need n >= 1 and s >= 1")
     rng = make_rng(seed, GRAPH_STREAM)
     block = max(1, _BLOCK_CELLS // s)
     off = [0]
@@ -133,7 +135,7 @@ def erdos_renyi(n: int, s: int, d: float, seed: int) -> WeightedBipartiteGraph:
         rows, cols = np.nonzero(rng.random((k, s)) < d)
         adj_v += cols.tolist()
         off += (np.cumsum(np.bincount(rows, minlength=k)) + off[-1]).tolist()
-    return _unweighted(n, s, off, adj_v)
+    return WeightedBipartiteGraph.from_csr(n, s, off, adj_v, (0,) * len(adj_v))
 
 
 def dispersed_degree(
@@ -151,6 +153,8 @@ def dispersed_degree(
         raise ValueError(
             f"radius {r} outside [0, s*min(d, 1-d)] = [0, {s * min(d, 1.0 - d)}]"
         )
+    if n < 1 or s < 1:
+        raise ValueError("need n >= 1 and s >= 1")
     c = round_half_up(d * s)
     lo, hi = c - r, c + r
     assert 0 <= lo <= hi <= s
@@ -173,21 +177,7 @@ def dispersed_degree(
                 j += i
                 pool[i], pool[j] = pool[j], pool[i]
         off.append(len(adj_v))
-    return _unweighted(n, s, off, adj_v)
-
-
-def _unweighted(
-    n: int, s: int, off: list[int], adj_v: list[int]
-) -> WeightedBipartiteGraph:
-    # Rows are sorted and in range by construction; every weight is 0.
-    return WeightedBipartiteGraph(
-        n=n,
-        s=s,
-        adj_off=tuple(off),
-        adj_v=tuple(adj_v),
-        adj_w=(0,) * len(adj_v),
-        max_abs_weight=0,
-    )
+    return WeightedBipartiteGraph.from_csr(n, s, off, adj_v, (0,) * len(adj_v))
 
 
 def _reweight(

@@ -139,6 +139,20 @@ class TestDispersedDegree:
         assert a == b
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n, s: erdos_renyi(n, s, 0.5, seed=0),
+        lambda n, s: dispersed_degree(n, s, 0.5, 0, seed=0),
+    ],
+    ids=["erdos_renyi", "dispersed_degree"],
+)
+@pytest.mark.parametrize("n, s", [(0, 3), (-1, 3), (3, 0), (0, 0)])
+def test_generators_reject_empty_sides(make, n, s):
+    with pytest.raises(ValueError, match=r"need n >= 1 and s >= 1"):
+        make(n, s)
+
+
 class TestWeightModels:
     def test_uniform_range_and_mean(self):
         g = assign_uniform_weights(complete_graph(400, 250), seed=17)
