@@ -234,7 +234,11 @@ def validate_matching(
         if not graph.has_edge(u, v):
             return f"({u}, {v}) is not an edge"
     for u, v in enumerate(matching.match_of_u):
-        if v is not None and matching.match_of_v[v] != u:
+        if v is None:
+            continue
+        if not 0 <= v < graph.s:
+            return f"left vertex {u} matched to out-of-range {v}"
+        if matching.match_of_v[v] != u:
             return f"inconsistent pairing at left vertex {u}"
     n_matched = sum(1 for u in matching.match_of_v if u is not None)
     if n_matched != matching.size:

@@ -168,11 +168,11 @@ def build_reduction(
     An unbalanced input always gets the construction, even when its kernel
     is square, so the balanced optimum is always twice the covering
     optimum.  ``kind`` must be ``"double"``; it stays for callers that
-    name the construction.
+    name the construction.  With ``s > n`` no column can drop an edge, and
+    :func:`column_kernel` raises :class:`InfeasibleInstanceError`.
     """
     if kind != "double":
         raise ValueError(f"unknown reduction {kind!r}")
-    _require_reducible(graph)
     n, s = graph.n, graph.s
     if n == s:
         return BalancedReduction("identity", graph, n, s)

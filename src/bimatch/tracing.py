@@ -6,18 +6,22 @@ smallest reduced costs, the price drop and whoever got displaced.  Two
 solver runs are trace-equivalent when their event sequences are identical.
 
 Events serialize to a line-oriented TSV so traces can be diffed across
-processes; ``-1`` encodes "nobody displaced" (safe because vertex indices
-are nonnegative).
+processes.  The columns are the fields of :class:`TraceEvent` in declaration
+order; ``-1`` encodes "nobody displaced" (safe because vertex indices are
+nonnegative).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import zip_longest
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Protocol
 
 from .core import WeightedBipartiteGraph
+from .scaling import DEFAULT_ALPHA
 
 _COLUMNS = (
     "phase",
@@ -66,40 +70,19 @@ class TraceSink(Protocol):
     def append(self, event: TraceEvent) -> None: ...
 
 
+_field_values = attrgetter(*(f.name for f in fields(TraceEvent)))
+
+
 def format_event(event: TraceEvent) -> str:
-    displaced = -1 if event.displaced_u is None else event.displaced_u
-    return "\t".join(
-        str(x)
-        for x in (
-            event.phase_index,
-            event.step_index,
-            event.selected_u,
-            event.best_v,
-            event.best_reduced_cost,
-            event.second_reduced_cost,
-            event.gamma,
-            event.new_price_v,
-            displaced,
-        )
-    )
+    return "\t".join(str(-1 if x is None else x) for x in _field_values(event))
 
 
 def parse_event(line: str) -> TraceEvent:
     parts = line.split("\t")
     if len(parts) != len(_COLUMNS):
         raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(parts)}")
-    vals = [int(p) for p in parts]
-    return TraceEvent(
-        phase_index=vals[0],
-        step_index=vals[1],
-        selected_u=vals[2],
-        best_v=vals[3],
-        best_reduced_cost=vals[4],
-        second_reduced_cost=vals[5],
-        gamma=vals[6],
-        new_price_v=vals[7],
-        displaced_u=None if vals[8] == -1 else vals[8],
-    )
+    *head, displaced = map(int, parts)
+    return TraceEvent(*head, displaced_u=None if displaced == -1 else displaced)
 
 
 class TraceFileWriter:
@@ -143,21 +126,11 @@ def compare_traces(
     left: Iterable[TraceEvent], right: Iterable[TraceEvent]
 ) -> Optional[TraceDivergence]:
     """First divergence between two event streams, or ``None`` if identical."""
-    it_l, it_r = iter(left), iter(right)
-    index = 0
-    sentinel = object()
-    while True:
-        a = next(it_l, sentinel)
-        b = next(it_r, sentinel)
-        if a is sentinel and b is sentinel:
-            return None
-        if a is sentinel:
-            return TraceDivergence(index, None, b)  # type: ignore[arg-type]
-        if b is sentinel:
-            return TraceDivergence(index, a, None)  # type: ignore[arg-type]
+    # An event is never None, so the fill value marks the side that ended.
+    for index, (a, b) in enumerate(zip_longest(left, right)):
         if a != b:
-            return TraceDivergence(index, a, b)  # type: ignore[arg-type]
-        index += 1
+            return TraceDivergence(index, a, b)
+    return None
 
 
 def compare_trace_files(
@@ -169,20 +142,14 @@ def compare_trace_files(
 def record_trace(
     algorithm: str,
     graph: WeightedBipartiteGraph,
-    alpha: Optional[Fraction] = None,
+    alpha: Fraction = DEFAULT_ALPHA,
 ) -> tuple[list[TraceEvent], int]:
     """Run one solver with tracing on; return (events, matching weight).
 
     A traced ``gk`` solve also certifies the per-step price identities.
     """
-    from .scaling import DEFAULT_ALPHA
-    from .solve import solve
+    from .solve import solve  # solve imports this module
 
     events: list[TraceEvent] = []
-    result = solve(
-        graph,
-        algorithm,
-        alpha=DEFAULT_ALPHA if alpha is None else alpha,
-        trace_sink=events,
-    )
+    result = solve(graph, algorithm, alpha=alpha, trace_sink=events)
     return events, result.weight

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from bimatch.cli import main
 from bimatch.core import build_graph, read_instance, write_instance
 from bimatch.tracing import read_trace_file, record_trace
 
-from conftest import g0
+from conftest import g0, random_graph
 
 
 def write_g0(tmp_path):
@@ -222,6 +224,122 @@ class TestTraceDiff:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+# The trace TSV byte for byte, pinned from the writer that formatted each
+# field by name.  Each instance is ``random_graph(Random(seed), n, s,
+# density, w_lo, w_hi)``; auction and gk must both write the same file.
+SQUARE = (1, 12, 12, 0.6, 1, 100)
+TRACE_DIGESTS = [
+    pytest.param(
+        SQUARE, "5",
+        "ba3ac913231675b6dfad1016878e9dc3be9fa6f8be3089eff71a78c1eb86552c",
+        id="square",
+    ),
+    pytest.param(
+        SQUARE, "7/2",
+        "05a30cd0a08678c5998f7c979cf050d1773763be8e46de209ae2ed0884f7e975",
+        id="square-alpha-7/2",
+    ),
+    # the column kernel drops edges before the double construction
+    pytest.param(
+        (2, 30, 4, 0.8, 1, 100), "5",
+        "6ee12ef1f2d6cb3fcc785e4113845c4f2b0ec24101ee64edb6ff90b86b5186a3",
+        id="shrinking-30x4",
+    ),
+    # no column has more than s edges: the construction runs on the full graph
+    pytest.param(
+        (4, 10, 7, 0.5, 1, 100), "5",
+        "889303e5dd178ce899da97dfad416ac43e4de397aca5b670f2ecaf44daf93d92",
+        id="non-shrinking-10x7",
+    ),
+    pytest.param(
+        (4, 12, 12, 0.6, -50, 50), "5",
+        "e46e13aa1b9bc7b1a1a9b046264762a22e1ea4a5c5be6ca5d8ed4df41c143dfd",
+        id="negative",
+    ),
+    pytest.param(
+        (5, 25, 5, 0.7, -1000, 1000), "5",
+        "4bdf5009b188a6a846247afd636e93f2764bffdbb90b86b04e8fc77187eeace9",
+        id="negative-shrinking-25x5",
+    ),
+]
+
+# Events 3 and 86 of the square instance's auction trace, as trace-diff
+# prints them.
+EVENT_3 = (
+    "TraceEvent(phase_index=0, step_index={step}, selected_u=3, best_v=0, "
+    "best_reduced_cost=481, second_reduced_cost=715, gamma=234, "
+    "new_price_v=-494, displaced_u=None)"
+)
+EVENT_86 = (
+    "TraceEvent(phase_index=4, step_index=14, selected_u=11, best_v=11, "
+    "best_reduced_cost=1479, second_reduced_cost=1519, gamma=40, "
+    "new_price_v=-1039, displaced_u=0)"
+)
+
+
+def solve_traced(tmp_path, shape, algo="auction", alpha="5"):
+    seed, n, s, d, w_lo, w_hi = shape
+    inst = tmp_path / f"inst-{seed}.txt"
+    write_instance(random_graph(random.Random(seed), n, s, d, w_lo, w_hi), inst)
+    trace = tmp_path / f"{algo}-{seed}.tsv"
+    rc = main(["solve", "--algo", algo, "--alpha", alpha,
+               "--in", str(inst), "--trace", str(trace)])
+    assert rc == 0
+    return trace
+
+
+def drop_last_two(lines):
+    return lines[:-2]
+
+
+def prefix_step_of_event_3(lines):
+    # lines[0] is the header; the step is the second field: 3 becomes 13
+    return lines[:4] + [lines[4].replace("\t", "\t1", 1)] + lines[5:]
+
+
+class TestTraceFormat:
+    @pytest.mark.parametrize("algo", ["auction", "gk"])
+    @pytest.mark.parametrize("shape, alpha, digest", TRACE_DIGESTS)
+    def test_trace_file_bytes(self, tmp_path, algo, shape, alpha, digest):
+        trace = solve_traced(tmp_path, shape, algo, alpha)
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "edit, swap, expected",
+        [
+            pytest.param(list, False, (0, "identical\n"), id="identical"),
+            pytest.param(
+                drop_last_two, False,
+                (1, f"event 86: right trace ended, left has {EVENT_86}\n"),
+                id="right-truncated",
+            ),
+            pytest.param(
+                drop_last_two, True,
+                (1, f"event 86: left trace ended, right has {EVENT_86}\n"),
+                id="left-truncated",
+            ),
+            pytest.param(
+                prefix_step_of_event_3, False,
+                (
+                    1,
+                    f"event 3:\n  left:  {EVENT_3.format(step=3)}\n"
+                    f"  right: {EVENT_3.format(step=13)}\n",
+                ),
+                id="one-changed-event",
+            ),
+        ],
+    )
+    def test_trace_diff_output(self, tmp_path, capsys, edit, swap, expected):
+        left = solve_traced(tmp_path, SQUARE)
+        right = tmp_path / "edited.tsv"
+        right.write_text("".join(edit(left.read_text().splitlines(True))))
+        if swap:
+            left, right = right, left
+        capsys.readouterr()
+        rc = main(["trace-diff", str(left), str(right)])
+        assert (rc, capsys.readouterr().out) == expected
 
 
 def write_bench_config(tmp_path, **overrides):

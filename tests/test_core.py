@@ -176,6 +176,20 @@ class TestValidateMatching:
         err = validate_matching(g, m)
         assert err is not None and "inconsistent" in err
 
+    @pytest.mark.parametrize(
+        "side, partner, message",
+        [
+            ("u", 7, "left vertex 0 matched to out-of-range 7"),
+            ("u", -1, "left vertex 0 matched to out-of-range -1"),
+            ("v", 7, "right vertex 0 matched to out-of-range 7"),
+            ("v", -1, "right vertex 0 matched to out-of-range -1"),
+        ],
+    )
+    def test_out_of_range_partner_detected(self, side, partner, message):
+        m = Matching(2, 2)  # nothing on the other side points back
+        getattr(m, f"match_of_{side}")[0] = partner
+        assert validate_matching(g0(), m) == message
+
 
 class TestReducedCost:
     def test_zero_price(self):

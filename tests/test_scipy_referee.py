@@ -7,8 +7,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimatch.core import WeightedBipartiteGraph, build_graph, validate_matching
+from bimatch.errors import InfeasibleInstanceError
 from bimatch.feasibility import is_feasible
 from bimatch.gen import GenSpec, generate
 from bimatch.reduction import column_kernel
@@ -130,3 +133,36 @@ def test_seeded_sweep_with_a_shrinking_kernel(n, rule, model):
         assert is_feasible(g), where
         assert column_kernel(g) is not None, where
         assert_every_solver_matches_scipy(g, where)
+
+
+@st.composite
+def covering_instances(draw):
+    """s <= n up to n = 60, any density, and weights either uniform over a
+    drawn range (negatives included) or on two drawn points (ties)."""
+    n = draw(st.integers(1, 60))
+    s = draw(st.integers(1, n))
+    density = draw(st.floats(0.02, 1.0))
+    lo = draw(st.integers(-1000, 1000))
+    hi = draw(st.integers(lo, 1000))
+    two_point = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return build_graph(
+        n, s,
+        [
+            (u, v, rng.choice((lo, hi)) if two_point else rng.randint(lo, hi))
+            for u in range(n)
+            for v in range(s)
+            if rng.random() < density
+        ],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_instances())
+def test_hypothesis_sweep(g):
+    if is_feasible(g):
+        assert_every_solver_matches_scipy(g, f"{g.n}x{g.s}, m={g.m}")
+        return
+    for algo in ALGORITHMS:
+        with pytest.raises(InfeasibleInstanceError):
+            solve(g, algo)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from bimatch.core import Matching, build_graph
+from bimatch.errors import InfeasibleInstanceError
 from bimatch.solve import ALGORITHMS, solve, verify_solution
 
-from conftest import g0, random_feasible_graphs
+from conftest import complete_graph, g0, random_feasible_graphs
 
 
 class TestSolve:
@@ -28,6 +29,14 @@ class TestSolve:
                 traces[algo] = []
                 solve(g, algo, trace_sink=traces[algo])
             assert traces["auction"] and traces["auction"] == traces["gk"]
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("n, s", [(1, 2), (2, 3), (3, 6)])
+    def test_more_right_than_left_vertices_is_infeasible_without_precheck(
+        self, algo, n, s
+    ):
+        with pytest.raises(InfeasibleInstanceError):
+            solve(complete_graph(n, s), algo, precheck=False)
 
     def test_tracing_hungarian_is_an_error(self):
         with pytest.raises(ValueError, match="tracing applies"):
