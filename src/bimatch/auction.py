@@ -11,6 +11,23 @@ matching from scratch; at scaled ``eps == 1`` the result is exactly optimal.
 The bidding loop does not terminate when the instance has no covering
 matching, so the driver prechecks feasibility by default and the loop
 carries a generous step cap as a backstop.
+
+A bid usually does not need its full scan.  The loop keeps a candidate
+cache, one entry per person: the positions of the two smallest reduced
+costs at that person's last full scan and the third-smallest value of that
+scan (``inf`` for a degree-2 person).  A bid first recomputes the two cached
+reduced costs; if both lie strictly below the stored third, they are the
+two smallest, the lower position winning a tie, and the scan is skipped.
+Otherwise the bid scans in full and stores a new entry only when its third
+exceeds its second: with third == second the entry could never hit.
+
+This is exact because every price update is ``old - gamma - eps`` with
+``gamma >= 0`` and ``eps >= 1``, and the driver carries prices across
+phases unchanged.  So object prices only fall during a solve, every reduced
+cost ``w - p`` only rises, and a stored third stays a lower bound on every
+uncached reduced cost of its person.  The driver creates the cache once per
+solve and hands it to every phase; a phase called without one makes a fresh
+one, so a direct caller with arbitrary prices gets the plain scan's result.
 """
 
 from __future__ import annotations
@@ -18,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Callable, Optional
 
 from .core import Matching, PriceVector, WeightedBipartiteGraph
@@ -51,6 +69,10 @@ class PhaseSnapshot:
 
 PhaseCallback = Callable[[PhaseSnapshot], None]
 
+# Per person: (lower position, higher position, third-smallest reduced cost)
+# of its last full scan, or None.
+BidCache = list[Optional[tuple[int, int, float]]]
+
 
 def auction_phase(
     graph: WeightedBipartiteGraph,
@@ -60,13 +82,17 @@ def auction_phase(
     phase_index: int = 0,
     trace_sink: Optional[TraceSink] = None,
     deadline: Optional[float] = None,
+    cache: Optional[BidCache] = None,
 ) -> tuple[Matching, PriceVector]:
     """One bidding phase on a balanced graph; mutates ``prices`` in place
     and returns ``(matching, prices)``.
 
     Starts from the empty matching and runs until every person owns an
     object, so the matching is perfect and satisfies eps-complementary
-    slackness against the final prices.
+    slackness against the final prices.  ``cache`` is the solve's candidate
+    cache (see the module docstring); it is valid only while prices have
+    done nothing but fall since it was filled, so leave it out unless the
+    prices come from the phase that last used it.
     """
     n, s = graph.n, graph.s
     if n != s:
@@ -78,6 +104,8 @@ def auction_phase(
     check_persons_have_edges(graph)
 
     matching = Matching(n, s)
+    if cache is None:
+        cache = [None] * n
     queue: deque[int] = deque(range(n))
     cap = step_cap(graph, max(prices) - min(prices), eps)
     step = 0
@@ -86,20 +114,47 @@ def auction_phase(
             check_step(step, cap, eps, deadline, "bidding phase")
         u = queue.popleft()
 
-        best_rc: Optional[int] = None
-        second_rc: Optional[int] = None
-        best_v = -1
-        for i in range(off[u], off[u + 1]):
-            rc = adj_w[i] - prices[adj_v[i]]
-            if best_rc is None or rc < best_rc:
-                second_rc = best_rc
-                best_rc = rc
-                best_v = adj_v[i]
-            elif second_rc is None or rc < second_rc:
-                second_rc = rc
-        assert best_rc is not None
-        if second_rc is None:
-            second_rc = best_rc + sentinel_gap
+        entry = cache[u]
+        if entry is not None:
+            i1, i2, third = entry
+            rc1 = adj_w[i1] - prices[adj_v[i1]]
+            rc2 = adj_w[i2] - prices[adj_v[i2]]
+            if rc1 >= third or rc2 >= third:
+                entry = None
+        if entry is not None:
+            # i1 < i2, so a tie goes to i1
+            if rc2 < rc1:
+                best_i, best_rc, second_rc = i2, rc2, rc1
+            else:
+                best_i, best_rc, second_rc = i1, rc1, rc2
+        else:
+            best_i = off[u]
+            best_rc = adj_w[best_i] - prices[adj_v[best_i]]
+            second_rc = third = inf
+            second_i = -1
+            for i in range(best_i + 1, off[u + 1]):
+                rc = adj_w[i] - prices[adj_v[i]]
+                if rc < third:
+                    if rc < second_rc:
+                        third = second_rc
+                        if rc < best_rc:
+                            second_rc, second_i = best_rc, best_i
+                            best_rc, best_i = rc, i
+                        else:
+                            second_rc, second_i = rc, i
+                    else:
+                        third = rc
+            if second_i < 0:
+                second_rc = best_rc + sentinel_gap
+            elif third > second_rc:
+                cache[u] = (
+                    (best_i, second_i, third)
+                    if best_i < second_i
+                    else (second_i, best_i, third)
+                )
+            else:
+                cache[u] = None
+        best_v = adj_v[best_i]
         gamma = second_rc - best_rc
 
         displaced = matching.match_of_v[best_v]
@@ -149,6 +204,7 @@ def eps_scaling_auction(
     check_deadline(deadline, "balancing reduction")
     scaled = scale_graph(balanced.graph)
     prices: PriceVector = [0] * scaled.s
+    cache: BidCache = [None] * scaled.n
     matching: Optional[Matching] = None
     for phase_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
         matching, prices = auction_phase(
@@ -158,6 +214,7 @@ def eps_scaling_auction(
             phase_index=phase_index,
             trace_sink=trace_sink,
             deadline=deadline,
+            cache=cache,
         )
         if on_phase is not None:
             on_phase(

@@ -12,6 +12,25 @@ ordering, which is what makes the two solvers' traces comparable.
 Every double push re-derives the object price update in the bidding form
 (old price minus gap minus eps) and demands bit-for-bit agreement, so a
 completed run certifies the correspondence, not just the result.
+
+Most double pushes skip the neighborhood scan.  The loop keeps a candidate
+cache, one entry per person: the arcs of the two smallest partial reduced
+costs ``w(uv) - p(v)`` at that person's last full scan and the
+third-smallest value of that scan (``inf`` for a degree-2 person).  A
+double push first recomputes the two cached costs; if both lie strictly
+below the stored third, they are the two smallest, the lower arc winning a
+tie, and the scan is skipped.  Otherwise it scans in full and stores a new
+entry only when its third exceeds its second: with third == second the
+entry could never hit.
+
+This is exact because every object price update is ``old - gamma - eps``
+with ``gamma >= 0`` and ``eps >= 1`` (the correspondence guard enforces
+that form on every push) and the driver carries prices across refines
+unchanged.  So object prices only fall during a solve, every partial
+reduced cost only rises, and a stored third stays a lower bound on every
+uncached cost of its person.  The driver creates the cache once per solve
+and hands it to every refine; a refine called without one makes a fresh
+one, so a direct caller with arbitrary prices gets the plain scan's result.
 """
 
 from __future__ import annotations
@@ -19,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Callable, Optional
 
 from .core import Matching, WeightedBipartiteGraph
@@ -177,6 +197,10 @@ class RefineSnapshot:
 
 RefineCallback = Callable[[RefineSnapshot], None]
 
+# Per person: (lower arc, higher arc, third-smallest partial reduced cost) of
+# its last full scan, or None.
+PushCache = list[Optional[tuple[int, int, float]]]
+
 
 def refine(
     fi: FlowInstance,
@@ -187,6 +211,7 @@ def refine(
     trace_sink: Optional[TraceSink] = None,
     deadline: Optional[float] = None,
     check_identities: bool = False,
+    cache: Optional[PushCache] = None,
 ) -> tuple[Pseudoflow, list[int]]:
     """One refine round; mutates ``prices`` (length ``n + s``) in place and
     returns ``(pseudoflow, prices)``.
@@ -196,7 +221,10 @@ def refine(
     ``check_identities`` every double push additionally rescans the person's
     neighborhood and verifies the relabel landed exactly on minus the
     smallest partial reduced cost (offset by ``eps`` for single-edge
-    neighborhoods, whose runner-up is synthetic).
+    neighborhoods, whose runner-up is synthetic).  ``cache`` is the solve's
+    candidate cache (see the module docstring); it is valid only while
+    object prices have done nothing but fall since it was filled, so leave
+    it out unless the prices come from the refine that last used it.
     """
     g = fi.graph
     n, s = g.n, g.s
@@ -209,6 +237,8 @@ def refine(
     pf = Pseudoflow(fi)
     # No per-round person price reset: first double pushes overwrite it unread.
     owner_arc = [-1] * s
+    if cache is None:
+        cache = [None] * n
     queue: deque[int] = deque(range(n))
     cap = step_cap(g, max(prices[n:]) - min(prices[n:]), eps)
     step = 0
@@ -218,21 +248,46 @@ def refine(
         u = queue.popleft()
 
         lo, hi = off[u], off[u + 1]
-        best_rc: Optional[int] = None
-        second_rc: Optional[int] = None
-        best_arc = -1
-        for a in range(lo, hi):
-            rc = adj_w[a] - prices[n + adj_v[a]]
-            if best_rc is None or rc < best_rc:
-                second_rc = best_rc
-                best_rc = rc
-                best_arc = a
-            elif second_rc is None or rc < second_rc:
-                second_rc = rc
-        assert best_rc is not None
-        single_edge = second_rc is None
-        if second_rc is None:
-            second_rc = best_rc + sentinel_gap
+        entry = cache[u]
+        if entry is not None:
+            a1, a2, third = entry
+            rc1 = adj_w[a1] - prices[n + adj_v[a1]]
+            rc2 = adj_w[a2] - prices[n + adj_v[a2]]
+            if rc1 >= third or rc2 >= third:
+                entry = None
+        if entry is not None:
+            # a1 < a2, so a tie goes to a1
+            if rc2 < rc1:
+                best_arc, best_rc, second_rc = a2, rc2, rc1
+            else:
+                best_arc, best_rc, second_rc = a1, rc1, rc2
+        else:
+            best_arc = lo
+            best_rc = adj_w[lo] - prices[n + adj_v[lo]]
+            second_rc = third = inf
+            second_arc = -1
+            for a in range(lo + 1, hi):
+                rc = adj_w[a] - prices[n + adj_v[a]]
+                if rc < third:
+                    if rc < second_rc:
+                        third = second_rc
+                        if rc < best_rc:
+                            second_rc, second_arc = best_rc, best_arc
+                            best_rc, best_arc = rc, a
+                        else:
+                            second_rc, second_arc = rc, a
+                    else:
+                        third = rc
+            if second_arc < 0:
+                second_rc = best_rc + sentinel_gap
+            elif third > second_rc:
+                cache[u] = (
+                    (best_arc, second_arc, third)
+                    if best_arc < second_arc
+                    else (second_arc, best_arc, third)
+                )
+            else:
+                cache[u] = None
         v = adj_v[best_arc]
 
         prices[u] = -second_rc
@@ -262,7 +317,7 @@ def refine(
             rescan = min(
                 adj_w[a] - prices[n + adj_v[a]] for a in range(lo, hi)
             )
-            expected = -rescan if not single_edge else -(rescan - eps)
+            expected = -rescan if hi - lo > 1 else -(rescan - eps)
             if prices[u] != expected:
                 raise RuntimeError(
                     f"person price identity violated at u={u}: "
@@ -311,6 +366,7 @@ def goldberg_kennedy(
     scaled = scale_graph(balanced.graph)
     fi = to_flow_instance(scaled)
     prices = [0] * fi.n_nodes
+    cache: PushCache = [None] * fi.graph.n
     pf: Optional[Pseudoflow] = None
     for refine_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
         pf, prices = refine(
@@ -321,6 +377,7 @@ def goldberg_kennedy(
             trace_sink=trace_sink,
             deadline=deadline,
             check_identities=check_identities,
+            cache=cache,
         )
         if on_refine is not None:
             on_refine(
