@@ -8,7 +8,8 @@ reproducible from the config alone.
 ``expand_jobs`` turns the grid into jobs, each carrying the ``GenSpec`` of
 its instance; building those specs validates every cell, so a bad config is
 rejected before the first job runs.  ``CELL_COLUMNS`` names the cell's CSV
-columns once; the run, aggregate and slice tables are derived from it.
+columns once, and both outputs derive from it: ``runs.csv`` has one row per
+instance and algorithm, ``aggregated.csv`` one per cell and algorithm.
 
 Per instance the harness prechecks feasibility off the clock; the timed
 region is the whole solve (for the scaling solvers: column kernel,
@@ -25,7 +26,6 @@ import csv
 import hashlib
 import itertools
 import json
-import logging
 import math
 import sys
 import time
@@ -34,15 +34,13 @@ from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import SolveTimeout
 from .feasibility import is_feasible
 from .gen import EDGE_MODELS, WEIGHT_MODELS, GenSpec, generate
 from .scaling import DEFAULT_ALPHA, parse_alpha
 from .solve import ALGORITHMS, solve, verify_solution
-
-log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 
@@ -51,8 +49,8 @@ S_RULES = ("log_n", "sqrt_n", "n")
 _SPLIT_COST_MODELS = ("uniform_low_high", "low_or_high")
 
 # One grid cell, in CSV order.  ``s`` follows from ``n`` and ``s_rule``; the
-# other columns are the cell's free parameters, which key its seed and its
-# marginal slices.  An inapplicable ``r_norm`` or ``p_low`` is written blank.
+# other columns are the cell's free parameters, which key its seed.  An
+# inapplicable ``r_norm`` or ``p_low`` is written blank.
 CELL_COLUMNS = (
     "edge_model",
     "cost_model",
@@ -63,7 +61,6 @@ CELL_COLUMNS = (
     "r_norm",
     "p_low",
 )
-_SLICE_PARAMS = tuple(c for c in CELL_COLUMNS if c != "s")
 _MILLIS_COLUMNS = ("mean_millis", "min_millis", "max_millis")
 
 RUN_COLUMNS = CELL_COLUMNS + (
@@ -75,7 +72,6 @@ RUN_COLUMNS = CELL_COLUMNS + (
 )
 _AGG_KEY = CELL_COLUMNS + ("algorithm",)
 AGG_COLUMNS = _AGG_KEY + ("runs", "ok", "censored", "infeasible") + _MILLIS_COLUMNS
-SLICE_COLUMNS = ("parameter", "value", "algorithm", "ok") + _MILLIS_COLUMNS
 
 _HEADER_NOTE = (
     "# s_rule values: log_n -> max(1, round(log2(n))), "
@@ -166,6 +162,12 @@ def _time_limit(key: str, x: object) -> Optional[float]:
     return float(x)
 
 
+def _alpha(key: str, x: object) -> Fraction:
+    if not (_is_number(x) or isinstance(x, str)):
+        raise ValueError(f"config key {key!r} must be a number or a string")
+    return parse_alpha(str(x))
+
+
 _strings = _list_of(lambda x: isinstance(x, str), "strings")
 _floats = _list_of(_is_number, "numbers", float)
 
@@ -185,7 +187,7 @@ _CONVERTERS = {
     "repetitions": _integer,
     "algorithms": _strings,
     "time_limit": _time_limit,
-    "alpha": lambda key, x: parse_alpha(str(x)),
+    "alpha": _alpha,
 }
 _REQUIRED_KEYS = {f.name for f in fields(BenchConfig) if f.default is MISSING}
 
@@ -360,64 +362,32 @@ def _write_csv(
         writer.writerows(rows)
 
 
-def _grouped(
-    rows: Iterable[dict[str, object]],
-    key: Callable[[dict[str, object]], tuple],
-) -> list[tuple[tuple, list[dict[str, object]]]]:
-    """Rows grouped by ``key``, groups in the string order of their keys."""
+def aggregate(rows: list[dict[str, object]]) -> list[dict[str, object]]:
+    """Collapse repetitions: one row per grid cell and algorithm, in numeric
+    order; a blank ``r_norm`` or ``p_low`` sorts after every number."""
     groups: dict[tuple, list[dict[str, object]]] = {}
     for row in rows:
-        groups.setdefault(key(row), []).append(row)
-    return sorted(groups.items(), key=lambda kv: tuple(str(x) for x in kv[0]))
-
-
-def _summarize(group: list[dict[str, object]]) -> dict[str, object]:
-    """The count and mean/min/max ``millis`` of the ok rows in ``group``."""
-    millis = [float(str(r["millis"])) for r in group if r["status"] == "ok"]
-    stats = (
-        [f"{x:.3f}" for x in (sum(millis) / len(millis), min(millis), max(millis))]
-        if millis
-        else ["", "", ""]
-    )
-    return {"ok": len(millis), **dict(zip(_MILLIS_COLUMNS, stats))}
-
-
-def aggregate(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    """Collapse repetitions: one row per grid cell and algorithm."""
+        groups.setdefault(tuple(row[c] for c in _AGG_KEY), []).append(row)
     out: list[dict[str, object]] = []
-    for key, group in _grouped(rows, lambda r: tuple(r[c] for c in _AGG_KEY)):
+    for key in sorted(groups, key=lambda k: [(isinstance(x, str), x) for x in k]):
+        group = groups[key]
         statuses = [r["status"] for r in group]
+        millis = [float(str(r["millis"])) for r in group if r["status"] == "ok"]
+        stats = (
+            [f"{x:.3f}" for x in (sum(millis) / len(millis), min(millis), max(millis))]
+            if millis
+            else ["", "", ""]
+        )
         out.append(
             {
                 **dict(zip(_AGG_KEY, key)),
                 "runs": len(group),
+                "ok": len(millis),
                 "censored": statuses.count("censored"),
                 "infeasible": statuses.count("infeasible"),
-                **_summarize(group),
+                **dict(zip(_MILLIS_COLUMNS, stats)),
             }
         )
-    return out
-
-
-def slice_summaries(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    """Marginal timings: one row per single parameter value and algorithm."""
-    out: list[dict[str, object]] = []
-    for param in _SLICE_PARAMS:
-        applicable = (r for r in rows if str(r[param]) != "")
-        for (value, algo), group in _grouped(
-            applicable, lambda r: (str(r[param]), str(r["algorithm"]))
-        ):
-            summary = _summarize(group)
-            if not summary["ok"]:
-                log.warning(
-                    "no successful runs for %s=%s algorithm=%s",
-                    param,
-                    value,
-                    algo,
-                )
-            out.append(
-                {"parameter": param, "value": value, "algorithm": algo, **summary}
-            )
     return out
 
 
@@ -428,16 +398,17 @@ def run_grid(
     workers: int = 1,
     progress: bool = False,
 ) -> Path:
-    """Execute the whole grid; write runs.csv, aggregated.csv, slices.csv.
+    """Execute the whole grid; write runs.csv and aggregated.csv.
 
     Returns the path of runs.csv.  The grid is expanded, and so validated,
     before the output directory is made or any job runs.  With
-    ``workers > 1`` instances run in parallel processes; note that
-    wall-clock timings from oversubscribed machines are noisier.
+    ``workers > 1`` instances run in that many processes, or one per job
+    if fewer; wall-clock timings from oversubscribed machines are noisier.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = expand_jobs(config)
+    workers = min(workers, len(jobs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[dict[str, object]] = []
@@ -456,5 +427,4 @@ def run_grid(
     runs_path = out / "runs.csv"
     _write_csv(runs_path, RUN_COLUMNS, rows)
     _write_csv(out / "aggregated.csv", AGG_COLUMNS, aggregate(rows))
-    _write_csv(out / "slices.csv", SLICE_COLUMNS, slice_summaries(rows))
     return runs_path

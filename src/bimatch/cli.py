@@ -199,7 +199,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(f"wrote {runs_path}")
     print(f"wrote {runs_path.parent / 'aggregated.csv'}")
-    print(f"wrote {runs_path.parent / 'slices.csv'}")
     return 0
 
 

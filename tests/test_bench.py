@@ -18,7 +18,6 @@ from bimatch.bench import (
     right_side_size,
     run_grid,
     run_job,
-    slice_summaries,
 )
 from bimatch.gen import GenSpec
 from bimatch.scaling import DEFAULT_ALPHA
@@ -149,6 +148,8 @@ class TestLoadConfig:
             ("seed_base", 4.0),
             ("repetitions", True),
             ("time_limit", "60"),
+            ("alpha", True),
+            ("alpha", [5]),
         ],
     )
     def test_mistyped_values_are_rejected_by_key(self, tmp_path, key, value):
@@ -338,33 +339,41 @@ class TestAggregation:
         assert hungarian["infeasible"] == 1
         assert hungarian["mean_millis"] == ""
 
-    def test_slices_skip_blank_parameters_and_keep_empty_buckets(self):
-        slices = slice_summaries(self.synthetic_rows())
-        params = {r["parameter"] for r in slices}
-        assert "r_norm" not in params and "p_low" not in params
-        n_auction = next(
-            r
-            for r in slices
-            if r["parameter"] == "n" and r["algorithm"] == "auction"
-        )
-        assert n_auction["ok"] == 2 and n_auction["mean_millis"] == "3.000"
-        n_hung = next(
-            r
-            for r in slices
-            if r["parameter"] == "n" and r["algorithm"] == "hungarian"
-        )
-        assert n_hung["ok"] == 0 and n_hung["mean_millis"] == ""
+    def test_cells_sort_numbers_as_numbers(self):
+        rows = [
+            {**row, "n": n, "s": n}
+            for n in (3200, 800, 1600)
+            for row in self.synthetic_rows()
+        ]
+        agg = aggregate(rows)
+        assert [r["n"] for r in agg if r["algorithm"] == "auction"] == [
+            800, 1600, 3200,
+        ]
+
+    def test_blank_and_numeric_r_norm_sort_together(self):
+        er = self.synthetic_rows()
+        dd = [
+            {**row, "edge_model": "dispersed_degree", "r_norm": r_norm}
+            for r_norm in (0.5, 0.1)
+            for row in er
+        ]
+        agg = aggregate(dd + er)
+        assert [(r["edge_model"], r["r_norm"]) for r in agg][::2] == [
+            ("dispersed_degree", 0.1),
+            ("dispersed_degree", 0.5),
+            ("erdos_renyi", ""),
+        ]
 
 
 class TestRunGrid:
-    def test_writes_all_three_csv_files(self, tmp_path):
+    def test_writes_runs_and_aggregated_csv_only(self, tmp_path):
         config = small_config(n_values=(6,), repetitions=2)
         runs_path = run_grid(config, tmp_path / "out")
         assert runs_path == tmp_path / "out" / "runs.csv"
         rows = read_rows(runs_path)
         assert len(rows) == 2 * len(ALGORITHMS)
         assert read_rows(tmp_path / "out" / "aggregated.csv")
-        assert read_rows(tmp_path / "out" / "slices.csv")
+        assert not (tmp_path / "out" / "slices.csv").exists()
         first_line = runs_path.read_text().splitlines()[0]
         assert first_line.startswith("# s_rule values")
 
@@ -391,3 +400,30 @@ class TestRunGrid:
             ]
 
         assert strip(serial) == strip(parallel)
+
+    @pytest.mark.parametrize(
+        "workers, repetitions, pools", [(8, 2, [2]), (4, 1, [])]
+    )
+    def test_no_more_workers_than_jobs(
+        self, tmp_path, monkeypatch, workers, repetitions, pools
+    ):
+        # One job runs in-process; two jobs get a pool of two, not eight.
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr("bimatch.bench.ProcessPoolExecutor", InlinePool)
+        config = small_config(n_values=(6,), repetitions=repetitions)
+        rows = read_rows(run_grid(config, tmp_path / "out", workers=workers))
+        assert len(rows) == repetitions * len(ALGORITHMS)
+        assert started == pools

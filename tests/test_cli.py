@@ -367,9 +367,10 @@ class TestBench:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "runs.csv" in printed
+        assert printed.count("wrote") == 2 and "slices.csv" not in printed
         assert (out_dir / "runs.csv").exists()
         assert (out_dir / "aggregated.csv").exists()
-        assert (out_dir / "slices.csv").exists()
+        assert not (out_dir / "slices.csv").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
