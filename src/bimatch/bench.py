@@ -109,6 +109,17 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        # An empty axis expands to no jobs: a run that times nothing.
+        for key in (
+            "edge_models",
+            "cost_models",
+            "n_values",
+            "s_rules",
+            "densities",
+            "algorithms",
+        ):
+            if not getattr(self, key):
+                raise ValueError(f"config key {key!r} must not be empty")
         for what, values, known in (
             ("edge model", self.edge_models, EDGE_MODELS),
             ("cost model", self.cost_models, WEIGHT_MODELS),
@@ -125,8 +136,8 @@ class BenchConfig:
             and not self.p_lows
         ):
             raise ValueError("split cost models need at least one p_low")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be positive and finite")
 
 
 def _is_int(x: object) -> bool:

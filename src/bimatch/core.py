@@ -7,6 +7,11 @@ the solvers' inner loops are linear scans over one vertex's edges.  Graphs
 are immutable after construction; matchings and price vectors are plain
 mutable state owned by one solver run at a time.
 
+Facts that an object's own data already holds are computed, not stored, so
+no producer restates them and no caller can set them out of step: a graph's
+``max_abs_weight`` is computed from ``adj_w`` on first use and cached, and
+a matching's ``size`` is counted from ``match_of_v`` on every read.
+
 Edges from outside the package (callers, instance files) are validated by
 :func:`build_graph`; producers whose rows are valid by construction (the
 generators, the reductions) lay out the adjacency arrays themselves, without
@@ -18,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from operator import lt
 from pathlib import Path
@@ -37,6 +43,10 @@ class WeightedBipartiteGraph:
     list of left vertex ``u``, sorted by right index ascending.  The sort
     order is load-bearing: deterministic tie-breaking in every solver rests
     on it.
+
+    ``m`` and ``max_abs_weight`` are derived from the adjacency arrays, not
+    fields: ``==``, ``hash`` and :func:`dataclasses.replace` see only the
+    five fields, so a replaced ``adj_w`` brings its own maximum.
     """
 
     n: int
@@ -44,7 +54,12 @@ class WeightedBipartiteGraph:
     adj_off: tuple[int, ...]
     adj_v: tuple[int, ...]
     adj_w: tuple[int, ...]
-    max_abs_weight: int
+
+    @cached_property
+    def max_abs_weight(self) -> int:
+        """Largest ``|w|`` over all edges, 0 when there are none: the C of
+        the O(nm log(nC)) bounds.  Computed on first use, then cached."""
+        return max(max(self.adj_w, default=0), -min(self.adj_w, default=0))
 
     @property
     def m(self) -> int:
@@ -94,15 +109,7 @@ class WeightedBipartiteGraph:
         """Wrap adjacency rows that are already valid: ints, indices in
         range, each row strictly ascending.  Nothing is checked; edges from
         outside the package go through :func:`build_graph`."""
-        adj_w = tuple(adj_w)
-        return cls(
-            n=n,
-            s=s,
-            adj_off=tuple(adj_off),
-            adj_v=tuple(adj_v),
-            adj_w=adj_w,
-            max_abs_weight=max(max(adj_w, default=0), -min(adj_w, default=0)),
-        )
+        return cls(n, s, tuple(adj_off), tuple(adj_v), tuple(adj_w))
 
 
 def build_graph(n: int, s: int, edges: Iterable[Edge]) -> WeightedBipartiteGraph:
@@ -158,29 +165,32 @@ class Matching:
     """Partial assignment between left and right vertices.
 
     ``match_of_v[v]`` and ``match_of_u[u]`` are mutually consistent partner
-    indices (``None`` when unmatched); ``size`` counts matched pairs.
+    indices (``None`` when unmatched).  ``size``, the number of matched
+    pairs, is counted from ``match_of_v`` on every read, so it follows
+    direct edits of the two lists too.
     """
 
-    __slots__ = ("match_of_u", "match_of_v", "size")
+    __slots__ = ("match_of_u", "match_of_v")
 
     def __init__(self, n: int, s: int):
         self.match_of_u: list[Optional[int]] = [None] * n
         self.match_of_v: list[Optional[int]] = [None] * s
-        self.size = 0
+
+    @property
+    def size(self) -> int:
+        return len(self.match_of_v) - self.match_of_v.count(None)
 
     def assign(self, u: int, v: int) -> None:
         if self.match_of_u[u] is not None or self.match_of_v[v] is not None:
             raise ValueError(f"cannot assign ({u}, {v}): an endpoint is matched")
         self.match_of_u[u] = v
         self.match_of_v[v] = u
-        self.size += 1
 
     def unassign(self, u: int, v: int) -> None:
         if self.match_of_u[u] != v or self.match_of_v[v] != u:
             raise ValueError(f"({u}, {v}) is not a matched pair")
         self.match_of_u[u] = None
         self.match_of_v[v] = None
-        self.size -= 1
 
     def pairs(self) -> list[tuple[int, int]]:
         """Matched ``(u, v)`` pairs sorted by right index."""
@@ -190,7 +200,6 @@ class Matching:
         other = Matching(len(self.match_of_u), len(self.match_of_v))
         other.match_of_u = list(self.match_of_u)
         other.match_of_v = list(self.match_of_v)
-        other.size = self.size
         return other
 
     def __eq__(self, other: object) -> bool:
@@ -240,9 +249,6 @@ def validate_matching(
             return f"left vertex {u} matched to out-of-range {v}"
         if matching.match_of_v[v] != u:
             return f"inconsistent pairing at left vertex {u}"
-    n_matched = sum(1 for u in matching.match_of_v if u is not None)
-    if n_matched != matching.size:
-        return f"size field {matching.size} != matched count {n_matched}"
     if require_perfect:
         for v, u in enumerate(matching.match_of_v):
             if u is None:
@@ -266,7 +272,8 @@ def check_eps_cs(
     """Epsilon-complementary slackness: every matched edge is within ``eps``
     of the cheapest reduced cost in its person's neighborhood.
 
-    Vacuously true for the empty matching.
+    Vacuously true for the empty matching; false when a matched pair is
+    not an edge, since no slackness condition can hold for it.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -280,8 +287,7 @@ def check_eps_cs(
                 best = rc
             if adj_v[i] == v:
                 matched_rc = rc
-        assert matched_rc is not None and best is not None
-        if matched_rc > best + eps:
+        if matched_rc is None or matched_rc > best + eps:
             return False
     return True
 

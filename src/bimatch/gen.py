@@ -35,7 +35,7 @@ its draws one vertex at a time, in the same order as ever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -184,14 +184,7 @@ def _reweight(
     graph: WeightedBipartiteGraph, weights: np.ndarray
 ) -> WeightedBipartiteGraph:
     # Adjacency arrays are already sorted; swap the weight column.
-    return WeightedBipartiteGraph(
-        n=graph.n,
-        s=graph.s,
-        adj_off=graph.adj_off,
-        adj_v=graph.adj_v,
-        adj_w=tuple(weights.tolist()),
-        max_abs_weight=int(np.abs(weights).max()),
-    )
+    return replace(graph, adj_w=tuple(weights.tolist()))
 
 
 def assign_uniform_weights(

@@ -44,12 +44,10 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Literal, Optional
+from typing import Optional
 
 from .core import Matching, WeightedBipartiteGraph
 from .errors import InfeasibleInstanceError
-
-ReductionKind = Literal["identity", "double"]
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,20 @@ class BalancedReduction:
 
     ``orig_n`` and ``orig_s`` are the shape of the graph the reduction was
     built for.  When it was built on that graph's column kernel, ``persons``
-    maps each kernel left vertex to its original index.
+    maps each kernel left vertex to its original index.  ``kind`` is not a
+    field: it follows from that shape on every read.
     """
 
-    kind: ReductionKind
     graph: WeightedBipartiteGraph
     orig_n: int
     orig_s: int
     persons: Optional[tuple[int, ...]] = None
+
+    @property
+    def kind(self) -> str:
+        """``"identity"`` for a square original (the graph passes through
+        untouched), else ``"double"`` (the mirror-and-bridge construction)."""
+        return "identity" if self.orig_n == self.orig_s else "double"
 
 
 def _require_reducible(graph: WeightedBipartiteGraph) -> None:
@@ -107,8 +111,8 @@ def double_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
     _require_reducible(graph)
     n, s = graph.n, graph.s
     if n == s:
-        return BalancedReduction("identity", graph, n, s)
-    return BalancedReduction("double", _mirror(graph), n, s)
+        return BalancedReduction(graph, n, s)
+    return BalancedReduction(_mirror(graph), n, s)
 
 
 def column_kernel(
@@ -175,10 +179,10 @@ def build_reduction(
         raise ValueError(f"unknown reduction {kind!r}")
     n, s = graph.n, graph.s
     if n == s:
-        return BalancedReduction("identity", graph, n, s)
+        return BalancedReduction(graph, n, s)
     kernel = column_kernel(graph)
     small, persons = (graph, None) if kernel is None else kernel
-    return BalancedReduction("double", _mirror(small), n, s, persons)
+    return BalancedReduction(_mirror(small), n, s, persons)
 
 
 def project_matching(

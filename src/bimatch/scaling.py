@@ -9,6 +9,7 @@ a whole unit).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -25,14 +26,7 @@ def scale_factor(graph: WeightedBipartiteGraph) -> int:
 def scale_graph(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     """Same structure, every weight multiplied by ``n + 1``."""
     k = scale_factor(graph)
-    return WeightedBipartiteGraph(
-        n=graph.n,
-        s=graph.s,
-        adj_off=graph.adj_off,
-        adj_v=graph.adj_v,
-        adj_w=tuple(w * k for w in graph.adj_w),
-        max_abs_weight=graph.max_abs_weight * k,
-    )
+    return replace(graph, adj_w=tuple(w * k for w in graph.adj_w))
 
 
 def parse_alpha(text: str) -> Fraction:

@@ -89,8 +89,9 @@ class TestConfigValidation:
             small_config(cost_models=("low_or_high",), p_lows=())
 
     def test_time_limit_must_be_positive(self):
-        with pytest.raises(ValueError, match="time_limit"):
-            small_config(time_limit=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="time_limit"):
+                small_config(time_limit=bad)
 
     def test_repetitions_must_be_positive(self):
         with pytest.raises(ValueError, match="repetitions"):
@@ -156,6 +157,23 @@ class TestLoadConfig:
         payload = self.base_payload()
         payload[key] = value
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            load_config(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "edge_models",
+            "cost_models",
+            "n_values",
+            "s_rules",
+            "densities",
+            "algorithms",
+        ],
+    )
+    def test_empty_axes_are_rejected_by_key(self, tmp_path, key):
+        payload = self.base_payload()
+        payload[key] = []
+        with pytest.raises(ValueError, match=f"config key '{key}' must not be empty"):
             load_config(self.write(tmp_path, payload))
 
     def test_integers_are_accepted_as_floats(self, tmp_path):

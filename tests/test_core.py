@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bimatch.core import (
     Matching,
+    WeightedBipartiteGraph,
     build_graph,
     check_eps_cs,
     density,
@@ -31,6 +32,12 @@ class TestBuildGraph:
         assert list(g.neighbors(0)) == [(1, 5)]
         assert list(g.neighbors(1)) == [(0, 10), (2, 30)]
         assert g.max_abs_weight == 30
+
+    def test_maximum_is_derived_from_the_weights(self):
+        g = WeightedBipartiteGraph(2, 3, (0, 1, 3), (2, 0, 1), (4, -9, 7))
+        assert g.max_abs_weight == 9
+        assert WeightedBipartiteGraph(2, 2, (0, 0, 0), (), ()).max_abs_weight == 0
+        assert g == build_graph(2, 3, [(0, 2, 4), (1, 0, -9), (1, 1, 7)])
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -113,6 +120,16 @@ class TestMatching:
         assert m.size == 1 and m.match_of_u[0] == 1 and m.match_of_v[1] == 0
         m.unassign(0, 1)
         assert m.size == 0 and m.match_of_u[0] is None
+
+    def test_size_follows_direct_edits_and_copies(self):
+        m = Matching(3, 2)
+        m.match_of_u[2], m.match_of_v[0] = 0, 2
+        assert m.size == 1
+        c = m.copy()
+        c.assign(0, 1)
+        assert (m.size, c.size) == (1, 2)
+        c.match_of_u[2] = c.match_of_v[0] = None
+        assert (m.size, c.size) == (1, 1)
 
     def test_double_assign_rejected(self):
         m = Matching(2, 2)
@@ -228,6 +245,13 @@ class TestCheckEpsCs:
 
     def test_empty_matching_vacuous(self):
         assert check_eps_cs(g0(), [0, 0], Matching(2, 2), 0)
+
+    def test_matched_non_edge_fails(self):
+        g = build_graph(2, 2, [(0, 0, 1), (1, 1, 1)])
+        m = Matching(2, 2)
+        m.match_of_u[:] = [1, 0]
+        m.match_of_v[:] = [1, 0]
+        assert not check_eps_cs(g, [0, 0], m, 100)
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):

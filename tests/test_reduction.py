@@ -7,6 +7,7 @@ import pytest
 from bimatch.core import Matching, build_graph, matching_weight, validate_matching
 from bimatch.oracle import brute_force_optimum
 from bimatch.reduction import (
+    BalancedReduction,
     build_reduction,
     double_balanced,
     project_matching,
@@ -26,6 +27,12 @@ class TestDoubleBalanced:
         red = double_balanced(g)
         assert red.kind == "identity"
         assert red.graph is g
+
+    def test_kind_follows_the_shape(self):
+        big = double_balanced(worked_example()).graph
+        assert BalancedReduction(g0(), 2, 2).kind == "identity"
+        assert BalancedReduction(big, 2, 1).kind == "double"
+        assert BalancedReduction(big, 2, 1, (0, 1)).kind == "double"
 
     def test_shape_and_bridges(self):
         g = worked_example()

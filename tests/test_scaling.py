@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from bimatch.scaling import (
     scale_graph,
     second_cost_sentinel_gap,
 )
+
+from bimatch.core import build_graph
 
 from conftest import g0
 
@@ -33,6 +36,12 @@ class TestScaleGraph:
         g = g0()
         scaled = scale_graph(g)
         assert scaled.adj_off == g.adj_off and scaled.adj_v == g.adj_v
+
+    def test_replaced_weights_bring_their_own_maximum(self):
+        g = build_graph(1, 2, [(0, 0, -7), (0, 1, 3)])
+        assert g.max_abs_weight == 7
+        assert replace(g, adj_w=(50, 1)).max_abs_weight == 50
+        assert initial_eps(replace(g, adj_w=(2, -60))) == 60
 
 
 class TestParseAlpha:
