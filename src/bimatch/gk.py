@@ -9,6 +9,11 @@ old owner, and drop the object's price to ``p(u) + w(uv) - eps``.  The
 driver shrinks ``eps`` exactly like the bidding solver and shares its step
 ordering, which is what makes the two solvers' traces comparable.
 
+A round keeps one record of its pseudoflow: ``owner_arc[v]``, the arc whose
+unit object ``v`` holds (``-1`` while ``v`` holds none).  A person is active
+exactly while it waits in the queue, so no excess is stored; the 0/1 arc
+flow is built from ``owner_arc`` once, when the round ends.
+
 Every double push re-derives the object price update in the bidding form
 (old price minus gap minus eps) and demands bit-for-bit agreement, so a
 completed run certifies the correspondence, not just the result.
@@ -78,9 +83,6 @@ class FlowInstance:
     def n_arcs(self) -> int:
         return self.graph.m
 
-    def supply(self, x: int) -> int:
-        return 1 if x < self.graph.n else -1
-
 
 def to_flow_instance(graph: WeightedBipartiteGraph) -> FlowInstance:
     if graph.n != graph.s:
@@ -91,48 +93,6 @@ def to_flow_instance(graph: WeightedBipartiteGraph) -> FlowInstance:
     for u in range(graph.n):
         tails.extend([u] * graph.degree(u))
     return FlowInstance(graph=graph, tail_of_arc=tuple(tails))
-
-
-class Pseudoflow:
-    """Arc flows plus incrementally maintained node excesses.
-
-    Unlike a flow, a pseudoflow owes nothing to conservation: any node may
-    sit on surplus (``excess > 0``) or deficit.  ``excess[x]`` always equals
-    supply plus inflow minus outflow; :meth:`recompute_excess` re-derives it
-    from scratch so tests can audit the incremental bookkeeping.
-    """
-
-    __slots__ = ("instance", "flow", "excess")
-
-    def __init__(self, instance: FlowInstance):
-        self.instance = instance
-        self.flow = [0] * instance.n_arcs
-        self.excess = [instance.supply(x) for x in range(instance.n_nodes)]
-
-    def push(self, arc: int) -> None:
-        if self.flow[arc] != 0:
-            raise ValueError(f"arc {arc} is saturated")
-        self.flow[arc] = 1
-        fi = self.instance
-        self.excess[fi.tail_of_arc[arc]] -= 1
-        self.excess[fi.graph.n + fi.graph.adj_v[arc]] += 1
-
-    def push_back(self, arc: int) -> None:
-        if self.flow[arc] != 1:
-            raise ValueError(f"arc {arc} carries no flow")
-        self.flow[arc] = 0
-        fi = self.instance
-        self.excess[fi.tail_of_arc[arc]] += 1
-        self.excess[fi.graph.n + fi.graph.adj_v[arc]] -= 1
-
-    def recompute_excess(self) -> list[int]:
-        fi = self.instance
-        e = [fi.supply(x) for x in range(fi.n_nodes)]
-        for a, f in enumerate(self.flow):
-            if f:
-                e[fi.tail_of_arc[a]] -= 1
-                e[fi.graph.n + fi.graph.adj_v[a]] += 1
-        return e
 
 
 def residual_conditions(
@@ -171,15 +131,19 @@ def check_eps_optimal(
     return cond_rev and cond_fwd
 
 
-def flow_to_matching(fi: FlowInstance, pf: Pseudoflow) -> Matching:
-    """Matching carried by a balanced pseudoflow with no excess anywhere."""
-    if any(e != 0 for e in pf.excess):
-        raise ValueError("pseudoflow still has active or deficient nodes")
+def flow_to_matching(fi: FlowInstance, flow: list[int]) -> Matching:
+    """Matching carried by a 0/1 arc flow with no excess anywhere.
+
+    Raises ``ValueError`` if a person sends or an object receives more than
+    one unit, or if some object receives none.
+    """
     g = fi.graph
     matching = Matching(g.n, g.s)
-    for a, f in enumerate(pf.flow):
+    for a, f in enumerate(flow):
         if f:
             matching.assign(fi.tail_of_arc[a], g.adj_v[a])
+    if matching.size != g.s:
+        raise ValueError("pseudoflow still has active or deficient nodes")
     return matching
 
 
@@ -212,12 +176,13 @@ def refine(
     deadline: Optional[float] = None,
     check_identities: bool = False,
     cache: Optional[PushCache] = None,
-) -> tuple[Pseudoflow, list[int]]:
+) -> tuple[list[int], list[int]]:
     """One refine round; mutates ``prices`` (length ``n + s``) in place and
-    returns ``(pseudoflow, prices)``.
+    returns ``(flow, prices)``.
 
-    Incoming person prices are ignored; they are output only.  On exit the
-    pseudoflow is a flow carrying a perfect matching.  With
+    Incoming person prices are ignored; they are output only.  The round
+    tracks only ``owner_arc`` and on exit builds from it ``flow``, the 0/1
+    value of each arc, which then carries a perfect matching.  With
     ``check_identities`` every double push additionally rescans the person's
     neighborhood and verifies the relabel landed exactly on minus the
     smallest partial reduced cost (offset by ``eps`` for single-edge
@@ -234,7 +199,6 @@ def refine(
     sentinel_gap = second_cost_sentinel_gap(g.max_abs_weight)
     check_persons_have_edges(g)
 
-    pf = Pseudoflow(fi)
     # No per-round person price reset: first double pushes overwrite it unread.
     owner_arc = [-1] * s
     if cache is None:
@@ -292,13 +256,10 @@ def refine(
 
         prices[u] = -second_rc
         old_price_v = prices[n + v]
-        pf.push(best_arc)
+        prev_arc = owner_arc[v]
         displaced: Optional[int] = None
-        if pf.excess[n + v] > 0:
-            prev_arc = owner_arc[v]
-            assert prev_arc >= 0
+        if prev_arc >= 0:
             displaced = fi.tail_of_arc[prev_arc]
-            pf.push_back(prev_arc)
             queue.append(displaced)
         owner_arc[v] = best_arc
         new_price_v = prices[u] + adj_w[best_arc] - eps
@@ -339,7 +300,11 @@ def refine(
                 )
             )
         step += 1
-    return pf, prices
+    flow = [0] * fi.n_arcs
+    for a in owner_arc:
+        if a >= 0:
+            flow[a] = 1
+    return flow, prices
 
 
 def goldberg_kennedy(
@@ -367,9 +332,9 @@ def goldberg_kennedy(
     fi = to_flow_instance(scaled)
     prices = [0] * fi.n_nodes
     cache: PushCache = [None] * fi.graph.n
-    pf: Optional[Pseudoflow] = None
+    flow: list[int] = []
     for refine_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
-        pf, prices = refine(
+        flow, prices = refine(
             fi,
             eps,
             prices,
@@ -385,10 +350,9 @@ def goldberg_kennedy(
                     refine_index=refine_index,
                     eps=eps,
                     instance=fi,
-                    flow=list(pf.flow),
+                    flow=list(flow),
                     prices=list(prices),
-                    matching=flow_to_matching(fi, pf),
+                    matching=flow_to_matching(fi, flow),
                 )
             )
-    assert pf is not None
-    return project_matching(balanced, flow_to_matching(fi, pf))
+    return project_matching(balanced, flow_to_matching(fi, flow))

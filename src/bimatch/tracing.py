@@ -98,11 +98,15 @@ class TraceFileWriter:
 
 def read_trace_file(path: str | Path) -> Iterator[TraceEvent]:
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            yield parse_event(line)
+            try:
+                event = parse_event(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            yield event
 
 
 @dataclass(frozen=True)

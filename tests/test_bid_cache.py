@@ -19,7 +19,7 @@ from bimatch import solve
 from bimatch.auction import auction_phase
 from bimatch.core import Matching, WeightedBipartiteGraph, build_graph
 from bimatch.feasibility import feasibility_precheck, is_feasible
-from bimatch.gk import refine, to_flow_instance
+from bimatch.gk import flow_to_matching, refine, to_flow_instance
 from bimatch.reduction import build_reduction
 from bimatch.scaling import (
     DEFAULT_ALPHA,
@@ -201,12 +201,15 @@ def test_repeated_solves_do_not_share_a_cache():
 
 def phase_events(graph, eps, prices):
     """Events of one direct auction phase and one direct refine, both
-    from ``prices``, next to the plain scan's."""
+    from ``prices``, next to the plain scan's.  Also asserts that the
+    refine's flow carries the phase's matching."""
     n = graph.n
     auction: list[TraceEvent] = []
-    auction_phase(graph, eps, list(prices), trace_sink=auction)
+    matching, _ = auction_phase(graph, eps, list(prices), trace_sink=auction)
     gk: list[TraceEvent] = []
-    refine(to_flow_instance(graph), eps, [0] * n + list(prices), trace_sink=gk)
+    fi = to_flow_instance(graph)
+    flow, _ = refine(fi, eps, [0] * n + list(prices), trace_sink=gk)
+    assert flow_to_matching(fi, flow) == matching
     expected: list[TraceEvent] = []
     reference_phase(graph, eps, list(prices), expected)
     return auction, gk, expected

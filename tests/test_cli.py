@@ -225,6 +225,19 @@ class TestTraceDiff:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_line_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        main(["solve", "--in", str(write_g0(tmp_path)), "--trace", str(good)])
+        text = good.read_text()
+        bad.write_text(text + "1\t2\t3\n")
+        capsys.readouterr()
+        rc = main(["trace-diff", str(good), str(bad)])
+        lineno = text.count("\n") + 1
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}, line {lineno}: expected 9 fields, got 3\n"
+        )
+
 
 # The trace TSV byte for byte, pinned from the writer that formatted each
 # field by name.  Each instance is ``random_graph(Random(seed), n, s,

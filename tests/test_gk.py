@@ -1,4 +1,4 @@
-"""Flow form, pseudoflow bookkeeping, refine rounds, and the driver."""
+"""Flow form, reading a matching off a flow, refine rounds, and the driver."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from bimatch.errors import (
 )
 from bimatch.gk import (
     FlowInstance,
-    Pseudoflow,
     RefineSnapshot,
     check_eps_optimal,
     flow_to_matching,
@@ -36,46 +35,10 @@ class TestFlowInstance:
         assert fi.n_arcs == 4
         assert fi.tail_of_arc == (0, 0, 1, 1)
         assert fi.n_nodes == 4
-        assert [fi.supply(x) for x in range(4)] == [1, 1, -1, -1]
 
     def test_rejects_unbalanced(self):
         with pytest.raises(ValueError, match="balanced"):
             to_flow_instance(build_graph(2, 1, [(0, 0, 1), (1, 0, 1)]))
-
-
-class TestPseudoflow:
-    def test_fresh_state(self):
-        pf = Pseudoflow(to_flow_instance(g0()))
-        assert pf.flow == [0, 0, 0, 0]
-        assert pf.excess == [1, 1, -1, -1]
-
-    def test_push_and_push_back_move_one_unit(self):
-        pf = Pseudoflow(to_flow_instance(g0()))
-        pf.push(0)
-        assert pf.excess == [0, 1, 0, -1]
-        pf.push_back(0)
-        assert pf.excess == [1, 1, -1, -1]
-
-    def test_saturation_guards(self):
-        pf = Pseudoflow(to_flow_instance(g0()))
-        pf.push(0)
-        with pytest.raises(ValueError, match="saturated"):
-            pf.push(0)
-        with pytest.raises(ValueError, match="carries no flow"):
-            pf.push_back(1)
-
-    def test_incremental_excess_matches_recomputation(self):
-        rng = random.Random(7207)
-        for g in random_feasible_graphs(7207, 15, max_n=7, balanced=True):
-            pf = Pseudoflow(to_flow_instance(g))
-            for _ in range(60):
-                arc = rng.randrange(g.m)
-                if pf.flow[arc]:
-                    pf.push_back(arc)
-                else:
-                    pf.push(arc)
-                assert pf.excess == pf.recompute_excess()
-                assert sum(pf.excess) == 0
 
 
 class TestResidualConditions:
@@ -104,17 +67,22 @@ class TestResidualConditions:
 
 
 class TestFlowToMatching:
+    # g0's arcs: 0 = (0, 0), 1 = (0, 1), 2 = (1, 0), 3 = (1, 1)
     def test_rejects_unbalanced_pseudoflow(self):
         fi = to_flow_instance(g0())
-        with pytest.raises(ValueError, match="active"):
-            flow_to_matching(fi, Pseudoflow(fi))
+        for flow, message in [
+            ([0, 0, 0, 0], "active"),  # the zero flow
+            ([1, 0, 0, 0], "active"),  # object 1 receives nothing
+            ([1, 1, 0, 0], "matched"),  # person 0 sends two units
+            ([1, 0, 1, 0], "matched"),  # object 0 receives two units
+        ]:
+            with pytest.raises(ValueError, match=message):
+                flow_to_matching(fi, flow)
 
     def test_reads_off_the_assignment(self):
         fi = to_flow_instance(g0())
-        pf = Pseudoflow(fi)
-        pf.push(0)
-        pf.push(3)
-        assert flow_to_matching(fi, pf).pairs() == [(0, 0), (1, 1)]
+        assert flow_to_matching(fi, [1, 0, 0, 1]).pairs() == [(0, 0), (1, 1)]
+        assert flow_to_matching(fi, [0, 1, 1, 0]).pairs() == [(1, 0), (0, 1)]
 
 
 class TestRefine:
@@ -125,7 +93,7 @@ class TestRefine:
     def test_double_push_worked_example(self):
         fi = to_flow_instance(self.worked_instance())
         events = []
-        pf, prices = refine(fi, 1, [0, 0, 0, 0], trace_sink=events)
+        flow, prices = refine(fi, 1, [0, 0, 0, 0], trace_sink=events)
         first = events[0]
         assert first.selected_u == 0
         assert first.best_v == 0
@@ -135,8 +103,8 @@ class TestRefine:
         # relabel lands on minus the runner-up, then the object price
         # follows as p(u) + w - eps
         assert prices == [-5, -12, -4, -12]
-        assert pf.flow == [1, 0, 1]
-        assert flow_to_matching(fi, pf).pairs() == [(0, 0), (1, 1)]
+        assert flow == [1, 0, 1]
+        assert flow_to_matching(fi, flow).pairs() == [(0, 0), (1, 1)]
 
     def test_identity_checks_pass_on_random_instances(self):
         for g in random_feasible_graphs(7311, 25, max_n=7, balanced=True):
@@ -149,19 +117,19 @@ class TestRefine:
         ):
             eps = 1 + i % 5
             fi = to_flow_instance(g)
-            pf, prices = refine(fi, eps, [0] * fi.n_nodes)
-            assert all(e == 0 for e in pf.excess)
-            matching = flow_to_matching(fi, pf)
+            flow, prices = refine(fi, eps, [0] * fi.n_nodes)
+            matching = flow_to_matching(fi, flow)
+            assert sum(flow) == g.n
             assert validate_matching(g, matching, require_perfect=True) is None
-            assert check_eps_optimal(fi, pf.flow, prices, eps)
+            assert check_eps_optimal(fi, flow, prices, eps)
 
     def test_corrupting_a_matched_object_price_breaks_the_certificate(self):
         fi = to_flow_instance(self.worked_instance())
-        pf, prices = refine(fi, 1, [0, 0, 0, 0])
-        assert check_eps_optimal(fi, pf.flow, prices, 1)
+        flow, prices = refine(fi, 1, [0, 0, 0, 0])
+        assert check_eps_optimal(fi, flow, prices, 1)
         bad = list(prices)
         bad[2] -= 100
-        cond_rev, _ = residual_conditions(fi, pf.flow, bad, 1)
+        cond_rev, _ = residual_conditions(fi, flow, bad, 1)
         assert not cond_rev
 
     def test_rejects_nonpositive_eps(self):
@@ -188,14 +156,14 @@ class TestRefine:
             runs = []
             for start in ([0] * g.n, persons):
                 events: list = []
-                pf, prices = refine(
+                flow, prices = refine(
                     fi,
                     eps,
                     start + objects,
                     trace_sink=events,
                     check_identities=True,
                 )
-                runs.append((pf.flow, prices, events))
+                runs.append((flow, prices, events))
             assert runs[0] == runs[1]
             assert len(runs[0][2]) >= g.n
 
