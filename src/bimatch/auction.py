@@ -28,6 +28,32 @@ cost ``w - p`` only rises, and a stored third stays a lower bound on every
 uncached reduced cost of its person.  The driver creates the cache once per
 solve and hands it to every phase; a phase called without one makes a fresh
 one, so a direct caller with arbitrary prices gets the plain scan's result.
+
+A full scan of a long row usually needs only its lightest edges.  Each solve
+builds :func:`~bimatch.scaling.weight_ordered_rows` once, after scaling:
+each row with at least ``ORDERED_ROW_MIN_WEIGHTS`` (40) distinct weights,
+its positions sorted by ``(w, v)``.  A full scan of such a row walks that
+order and stops at the first edge with ``w > third + pmax``, where ``pmax``
+is the highest object price at the phase's start.
+
+- Exact: prices only fall within a phase, so every unread edge costs
+  ``w' - p(v') >= w' - pmax >= w - pmax > third``.  It can neither enter
+  the three smallest values nor tie the smallest, so best, second and
+  third are those of the whole row.
+- Ties: the plain scan sends a tie at the minimum to the lowest position.
+  Equal weights are read in ascending position anyway, but equal reduced
+  costs may come from different weights in either order.  So an edge that
+  ties the best with a lower position takes its place explicitly: it
+  becomes the best, and the old best becomes the runner-up.  A cache entry
+  keeps the lower position first, as after a plain scan, so the hit path
+  is unchanged.
+- The cutoff: ordering pays on rows of about 30 or more distinct weights,
+  and loses on rows with two.  40 keeps every row of the short-row and
+  two-weight benchmark workloads on the plain scan; the measurements are
+  at ``ORDERED_ROW_MIN_WEIGHTS``.
+
+A phase called without a view builds its own, so a direct call takes the
+same path as a solve.
 """
 
 from __future__ import annotations
@@ -44,6 +70,7 @@ from .feasibility import feasibility_precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
+    OrderedRows,
     check_persons_have_edges,
     check_step,
     eps_schedule,
@@ -51,6 +78,7 @@ from .scaling import (
     scale_graph,
     second_cost_sentinel_gap,
     step_cap,
+    weight_ordered_rows,
 )
 from .tracing import TraceEvent, TraceSink
 
@@ -83,6 +111,7 @@ def auction_phase(
     trace_sink: Optional[TraceSink] = None,
     deadline: Optional[float] = None,
     cache: Optional[BidCache] = None,
+    view: Optional[OrderedRows] = None,
 ) -> tuple[Matching, PriceVector]:
     """One bidding phase on a balanced graph; mutates ``prices`` in place
     and returns ``(matching, prices)``.
@@ -92,7 +121,8 @@ def auction_phase(
     slackness against the final prices.  ``cache`` is the solve's candidate
     cache (see the module docstring); it is valid only while prices have
     done nothing but fall since it was filled, so leave it out unless the
-    prices come from the phase that last used it.
+    prices come from the phase that last used it.  ``view`` is the
+    weight-ordered view of ``graph``'s rows; it depends only on the graph.
     """
     n, s = graph.n, graph.s
     if n != s:
@@ -106,8 +136,12 @@ def auction_phase(
     matching = Matching(n, s)
     if cache is None:
         cache = [None] * n
+    if view is None:
+        view = weight_ordered_rows(graph)
+    # prices only fall during the phase, so none ever exceeds its start max
+    pmax = max(prices)
     queue: deque[int] = deque(range(n))
-    cap = step_cap(graph, max(prices) - min(prices), eps)
+    cap = step_cap(graph, pmax - min(prices), eps)
     step = 0
     while queue:
         if step >= cap or (deadline is not None and step % DEADLINE_STRIDE == 0):
@@ -128,22 +162,50 @@ def auction_phase(
             else:
                 best_i, best_rc, second_rc = i1, rc1, rc2
         else:
-            best_i = off[u]
-            best_rc = adj_w[best_i] - prices[adj_v[best_i]]
-            second_rc = third = inf
-            second_i = -1
-            for i in range(best_i + 1, off[u + 1]):
-                rc = adj_w[i] - prices[adj_v[i]]
-                if rc < third:
-                    if rc < second_rc:
-                        third = second_rc
-                        if rc < best_rc:
-                            second_rc, second_i = best_rc, best_i
-                            best_rc, best_i = rc, i
+            if view and (order := view[u]) is not None:
+                # the row in ascending (w, v), cut short by the price bound
+                best_rc = second_rc = third = limit = inf
+                best_i = second_i = -1
+                for i in order:
+                    w = adj_w[i]
+                    if w > limit:
+                        # every edge from here on costs w' - p(v') >=
+                        # w - pmax > third: best, second and third are final
+                        break
+                    rc = w - prices[adj_v[i]]
+                    if rc <= third:
+                        if rc < second_rc:
+                            third = second_rc
+                            if rc < best_rc:
+                                second_rc, second_i = best_rc, best_i
+                                best_rc, best_i = rc, i
+                            elif rc == best_rc and i < best_i:
+                                second_rc, second_i = rc, best_i
+                                best_i = i
+                            else:
+                                second_rc, second_i = rc, i
                         else:
-                            second_rc, second_i = rc, i
-                    else:
-                        third = rc
+                            third = rc
+                            if rc == best_rc and i < best_i:
+                                best_i = i
+                        limit = third + pmax
+            else:
+                best_i = off[u]
+                best_rc = adj_w[best_i] - prices[adj_v[best_i]]
+                second_rc = third = inf
+                second_i = -1
+                for i in range(best_i + 1, off[u + 1]):
+                    rc = adj_w[i] - prices[adj_v[i]]
+                    if rc < third:
+                        if rc < second_rc:
+                            third = second_rc
+                            if rc < best_rc:
+                                second_rc, second_i = best_rc, best_i
+                                best_rc, best_i = rc, i
+                            else:
+                                second_rc, second_i = rc, i
+                        else:
+                            third = rc
             if second_i < 0:
                 second_rc = best_rc + sentinel_gap
             elif third > second_rc:
@@ -200,9 +262,11 @@ def eps_scaling_auction(
     """
     if precheck:
         feasibility_precheck(graph)
-    balanced = build_reduction(graph)
+    balanced = build_reduction(graph, deadline=deadline)
     check_deadline(deadline, "balancing reduction")
     scaled = scale_graph(balanced.graph)
+    view = weight_ordered_rows(scaled)
+    check_deadline(deadline, "weight-ordered rows")
     prices: PriceVector = [0] * scaled.s
     cache: BidCache = [None] * scaled.n
     matching: Optional[Matching] = None
@@ -215,6 +279,7 @@ def eps_scaling_auction(
             trace_sink=trace_sink,
             deadline=deadline,
             cache=cache,
+            view=view,
         )
         if on_phase is not None:
             on_phase(

@@ -313,20 +313,23 @@ def write_instance(graph: WeightedBipartiteGraph, path: str | Path) -> None:
 def read_instance(path: str | Path) -> WeightedBipartiteGraph:
     """Parse an instance file.  Faults are reported in file order: a bad
     header, then the first edge line that is not three integers, then
-    trailing content, then whatever :func:`build_graph` reports first."""
+    trailing content, then whatever :func:`build_graph` reports first.
+    Every message starts with the path and the file line it is about."""
     with open(path, "r", encoding="ascii") as fh:
         # One read; newlines are already translated, so splitting on "\n"
         # gives the same lines as ``readline`` would.
         lines = fh.read().split("\n")
     header = lines[0].split()
     if len(header) != 3:
-        raise ValueError("header must be 'n s m'")
+        raise ValueError(f"{path}, line 1: header must be 'n s m'")
     try:
         n, s, m = (int(tok) for tok in header)
     except ValueError:
-        raise ValueError(f"bad header {header!r}") from None
+        raise ValueError(f"{path}, line 1: bad header {header!r}") from None
     if m < 0:
-        raise ValueError(f"bad header {header!r}: negative edge count")
+        raise ValueError(
+            f"{path}, line 1: bad header {header!r}: negative edge count"
+        )
     edges: list[Edge] = []
     add_edge = edges.append
     for line in lines[1 : m + 1]:
@@ -337,9 +340,38 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
         try:
             add_edge((int(u), int(v), int(w)))
         except ValueError:
-            raise ValueError(f"bad edge line {parts!r}") from None
+            # edge k (from 0) sits on file line k + 2
+            raise ValueError(
+                f"{path}, line {len(edges) + 2}: bad edge line {parts!r}"
+            ) from None
     if len(edges) < m:
-        raise ValueError(f"edge line {len(edges) + 1} must be 'u v w'")
-    if any(line.strip() for line in lines[m + 1 :]):
-        raise ValueError("trailing content after the declared edges")
-    return build_graph(n, s, edges)
+        k = len(edges)
+        raise ValueError(f"{path}, line {k + 2}: edge line {k + 1} must be 'u v w'")
+    for lineno, line in enumerate(lines[m + 1 :], m + 2):
+        if line.strip():
+            raise ValueError(
+                f"{path}, line {lineno}: trailing content after the declared edges"
+            )
+    try:
+        return build_graph(n, s, edges)
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {_fault_line(n, s, edges)}: {exc}") from None
+
+
+def _fault_line(n: int, s: int, edges: list[Edge]) -> int:
+    """File line of the fault :func:`build_graph` reports for an instance
+    file's edges, found by following its contract: the header's shape,
+    then the first edge out of range, then the second occurrence of the
+    smallest duplicated pair."""
+    if n < 1 or s < 1:
+        return 1
+    for k, (u, v, _) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < s):
+            return k + 2
+    seen: set[tuple[int, int]] = set()
+    repeats: dict[tuple[int, int], int] = {}
+    for k, (u, v, _) in enumerate(edges):
+        if (u, v) in seen:
+            repeats.setdefault((u, v), k)
+        seen.add((u, v))
+    return repeats[min(repeats)] + 2

@@ -36,6 +36,33 @@ reduced cost only rises, and a stored third stays a lower bound on every
 uncached cost of its person.  The driver creates the cache once per solve
 and hands it to every refine; a refine called without one makes a fresh
 one, so a direct caller with arbitrary prices gets the plain scan's result.
+
+A full scan of a long row usually needs only its lightest arcs.  Each solve
+builds :func:`~bimatch.scaling.weight_ordered_rows` once, after scaling:
+each row with at least ``ORDERED_ROW_MIN_WEIGHTS`` (40) distinct weights,
+its arcs sorted by ``(w, v)``.  A full scan of such a row walks that order
+and stops at the first arc with ``w > third + pmax``, where ``pmax`` is the
+highest object price at the refine's start.
+
+- Exact: object prices only fall within a refine, so every unread arc
+  costs ``w' - p(v') >= w' - pmax >= w - pmax > third``.  It can neither
+  enter the three smallest values nor tie the smallest, so best, second
+  and third are those of the whole row.
+- Ties: the plain scan sends a tie at the minimum to the lowest arc.
+  Equal weights are read in ascending arc order anyway, but equal costs
+  may come from different weights in either order.  So an arc that ties
+  the best with a lower index takes its place explicitly: it becomes the
+  best, and the old best becomes the runner-up.  A cache entry keeps the
+  lower arc first, as after a plain scan, so the hit path is unchanged.
+- The cutoff: ordering pays on rows of about 30 or more distinct weights,
+  and loses on rows with two.  40 keeps every row of the short-row and
+  two-weight benchmark workloads on the plain scan; the measurements are
+  at ``ORDERED_ROW_MIN_WEIGHTS``.
+
+Scans and cache checks read object prices through ``head_of_arc``, the
+node id ``n + v`` of each arc, so no cost lookup adds ``n``.  A refine
+called without a view builds its own, so a direct call takes the same
+path as a solve.
 """
 
 from __future__ import annotations
@@ -52,6 +79,7 @@ from .feasibility import feasibility_precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
+    OrderedRows,
     check_persons_have_edges,
     check_step,
     eps_schedule,
@@ -59,6 +87,7 @@ from .scaling import (
     scale_graph,
     second_cost_sentinel_gap,
     step_cap,
+    weight_ordered_rows,
 )
 from .tracing import TraceEvent, TraceSink
 
@@ -69,11 +98,13 @@ class FlowInstance:
 
     Node ``x < n`` is person ``x`` (supply +1); node ``n + v`` is object
     ``v`` (supply -1).  Arc ``a`` is adjacency position ``a`` of the graph,
-    running person-to-object with capacity 1 and cost ``adj_w[a]``.
+    running from node ``tail_of_arc[a]`` to node ``head_of_arc[a]`` with
+    capacity 1 and cost ``adj_w[a]``.
     """
 
     graph: WeightedBipartiteGraph
     tail_of_arc: tuple[int, ...]
+    head_of_arc: tuple[int, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -89,10 +120,13 @@ def to_flow_instance(graph: WeightedBipartiteGraph) -> FlowInstance:
         raise ValueError(
             f"flow form needs a balanced graph, got n={graph.n}, s={graph.s}"
         )
+    # one int object per node id, shared by every arc that ends there
+    nodes = list(range(graph.n + graph.s))
     tails = []
     for u in range(graph.n):
-        tails.extend([u] * graph.degree(u))
-    return FlowInstance(graph=graph, tail_of_arc=tuple(tails))
+        tails.extend([nodes[u]] * graph.degree(u))
+    heads = map(nodes[graph.n :].__getitem__, graph.adj_v)
+    return FlowInstance(graph, tuple(tails), tuple(heads))
 
 
 def residual_conditions(
@@ -176,6 +210,7 @@ def refine(
     deadline: Optional[float] = None,
     check_identities: bool = False,
     cache: Optional[PushCache] = None,
+    view: Optional[OrderedRows] = None,
 ) -> tuple[list[int], list[int]]:
     """One refine round; mutates ``prices`` (length ``n + s``) in place and
     returns ``(flow, prices)``.
@@ -190,12 +225,15 @@ def refine(
     candidate cache (see the module docstring); it is valid only while
     object prices have done nothing but fall since it was filled, so leave
     it out unless the prices come from the refine that last used it.
+    ``view`` is the weight-ordered view of the graph's rows; it depends
+    only on the graph.
     """
     g = fi.graph
     n, s = g.n, g.s
     if eps < 1:
         raise ValueError(f"eps must be a positive integer, got {eps}")
     off, adj_v, adj_w = g.adj_off, g.adj_v, g.adj_w
+    head, tail = fi.head_of_arc, fi.tail_of_arc
     sentinel_gap = second_cost_sentinel_gap(g.max_abs_weight)
     check_persons_have_edges(g)
 
@@ -203,8 +241,12 @@ def refine(
     owner_arc = [-1] * s
     if cache is None:
         cache = [None] * n
+    if view is None:
+        view = weight_ordered_rows(g)
+    # object prices only fall during the round, so none exceeds its start max
+    pmax = max(prices[n:])
     queue: deque[int] = deque(range(n))
-    cap = step_cap(g, max(prices[n:]) - min(prices[n:]), eps)
+    cap = step_cap(g, pmax - min(prices[n:]), eps)
     step = 0
     while queue:
         if step >= cap or (deadline is not None and step % DEADLINE_STRIDE == 0):
@@ -215,8 +257,8 @@ def refine(
         entry = cache[u]
         if entry is not None:
             a1, a2, third = entry
-            rc1 = adj_w[a1] - prices[n + adj_v[a1]]
-            rc2 = adj_w[a2] - prices[n + adj_v[a2]]
+            rc1 = adj_w[a1] - prices[head[a1]]
+            rc2 = adj_w[a2] - prices[head[a2]]
             if rc1 >= third or rc2 >= third:
                 entry = None
         if entry is not None:
@@ -226,22 +268,50 @@ def refine(
             else:
                 best_arc, best_rc, second_rc = a1, rc1, rc2
         else:
-            best_arc = lo
-            best_rc = adj_w[lo] - prices[n + adj_v[lo]]
-            second_rc = third = inf
-            second_arc = -1
-            for a in range(lo + 1, hi):
-                rc = adj_w[a] - prices[n + adj_v[a]]
-                if rc < third:
-                    if rc < second_rc:
-                        third = second_rc
-                        if rc < best_rc:
-                            second_rc, second_arc = best_rc, best_arc
-                            best_rc, best_arc = rc, a
+            if view and (order := view[u]) is not None:
+                # the row in ascending (w, v), cut short by the price bound
+                best_rc = second_rc = third = limit = inf
+                best_arc = second_arc = -1
+                for a in order:
+                    w = adj_w[a]
+                    if w > limit:
+                        # every arc from here on costs w' - p(v') >=
+                        # w - pmax > third: best, second and third are final
+                        break
+                    rc = w - prices[head[a]]
+                    if rc <= third:
+                        if rc < second_rc:
+                            third = second_rc
+                            if rc < best_rc:
+                                second_rc, second_arc = best_rc, best_arc
+                                best_rc, best_arc = rc, a
+                            elif rc == best_rc and a < best_arc:
+                                second_rc, second_arc = rc, best_arc
+                                best_arc = a
+                            else:
+                                second_rc, second_arc = rc, a
                         else:
-                            second_rc, second_arc = rc, a
-                    else:
-                        third = rc
+                            third = rc
+                            if rc == best_rc and a < best_arc:
+                                best_arc = a
+                        limit = third + pmax
+            else:
+                best_arc = lo
+                best_rc = adj_w[lo] - prices[head[lo]]
+                second_rc = third = inf
+                second_arc = -1
+                for a in range(lo + 1, hi):
+                    rc = adj_w[a] - prices[head[a]]
+                    if rc < third:
+                        if rc < second_rc:
+                            third = second_rc
+                            if rc < best_rc:
+                                second_rc, second_arc = best_rc, best_arc
+                                best_rc, best_arc = rc, a
+                            else:
+                                second_rc, second_arc = rc, a
+                        else:
+                            third = rc
             if second_arc < 0:
                 second_rc = best_rc + sentinel_gap
             elif third > second_rc:
@@ -259,7 +329,7 @@ def refine(
         prev_arc = owner_arc[v]
         displaced: Optional[int] = None
         if prev_arc >= 0:
-            displaced = fi.tail_of_arc[prev_arc]
+            displaced = tail[prev_arc]
             queue.append(displaced)
         owner_arc[v] = best_arc
         new_price_v = prices[u] + adj_w[best_arc] - eps
@@ -326,10 +396,12 @@ def goldberg_kennedy(
     """
     if precheck:
         feasibility_precheck(graph)
-    balanced = build_reduction(graph)
+    balanced = build_reduction(graph, deadline=deadline)
     check_deadline(deadline, "balancing reduction")
     scaled = scale_graph(balanced.graph)
     fi = to_flow_instance(scaled)
+    view = weight_ordered_rows(scaled)
+    check_deadline(deadline, "weight-ordered rows")
     prices = [0] * fi.n_nodes
     cache: PushCache = [None] * fi.graph.n
     flow: list[int] = []
@@ -343,6 +415,7 @@ def goldberg_kennedy(
             deadline=deadline,
             check_identities=check_identities,
             cache=cache,
+            view=view,
         )
         if on_refine is not None:
             on_refine(

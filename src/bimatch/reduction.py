@@ -47,7 +47,7 @@ from itertools import accumulate, chain
 from typing import Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError
+from .errors import InfeasibleInstanceError, check_deadline
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,14 @@ def double_balanced(graph: WeightedBipartiteGraph) -> BalancedReduction:
 
 
 def column_kernel(
-    graph: WeightedBipartiteGraph,
+    graph: WeightedBipartiteGraph, deadline: Optional[float] = None
 ) -> Optional[tuple[WeightedBipartiteGraph, tuple[int, ...]]]:
     """The column kernel of ``graph`` and its left-vertex map, or ``None``
     when every right vertex has degree at most ``s`` (nothing to drop).
 
     Raises :class:`InfeasibleInstanceError` when fewer than ``s`` left
-    vertices have an edge.
+    vertices have an edge, and :class:`SolveTimeout` when ``deadline``
+    passes; the clock is read once per column.
     """
     n, s = graph.n, graph.s
     off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
@@ -142,7 +143,10 @@ def column_kernel(
                 f"{s} right vertices; no covering matching exists"
             )
         return None
-    kept = [heapq.nsmallest(s, col) for col in cols]
+    kept = []
+    for col in cols:
+        check_deadline(deadline, "balancing reduction (column kernel)")
+        kept.append(heapq.nsmallest(s, col))
     persons = sorted({key % n for col in kept for key in col})
     index = {u: i for i, u in enumerate(persons)}
     # Columns are visited in ascending v, so every row comes out sorted.
@@ -164,7 +168,9 @@ def column_kernel(
 
 
 def build_reduction(
-    graph: WeightedBipartiteGraph, kind: str = "double"
+    graph: WeightedBipartiteGraph,
+    kind: str = "double",
+    deadline: Optional[float] = None,
 ) -> BalancedReduction:
     """The ``double`` construction, on the column kernel when that is
     smaller.
@@ -174,13 +180,14 @@ def build_reduction(
     optimum.  ``kind`` must be ``"double"``; it stays for callers that
     name the construction.  With ``s > n`` no column can drop an edge, and
     :func:`column_kernel` raises :class:`InfeasibleInstanceError`.
+    ``deadline`` reaches the kernel's per-column probe.
     """
     if kind != "double":
         raise ValueError(f"unknown reduction {kind!r}")
     n, s = graph.n, graph.s
     if n == s:
         return BalancedReduction(graph, n, s)
-    kernel = column_kernel(graph)
+    kernel = column_kernel(graph, deadline)
     small, persons = (graph, None) if kernel is None else kernel
     return BalancedReduction(_mirror(small), n, s, persons)
 

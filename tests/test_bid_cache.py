@@ -1,10 +1,13 @@
-"""The candidate cache in both bid loops gives the plain scan's trace.
+"""The candidate cache and the weight-ordered scan in both bid loops give
+the plain scan's trace.
 
 ``reference_two_smallest`` is the plain two-smallest scan both loops ran
-before they cached candidates; ``reference_solve`` drives it through the
-same reduction, scaling and eps schedule as the solvers.  The auction and
-gk traces must equal the reference event for event, through full solves
-and through direct phase calls with arbitrary prices.
+before they cached candidates or read rows in weight order;
+``reference_solve`` drives it through the same reduction, scaling and eps
+schedule as the solvers.  The auction and gk traces must equal the
+reference event for event, through full solves and through direct phase
+calls with arbitrary prices, with rows read in position order and in
+weight order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from typing import Optional
 
 import pytest
 
-from bimatch import solve
+from bimatch import auction as auction_module
+from bimatch import gk as gk_module
+from bimatch import scaling, solve
 from bimatch.auction import auction_phase
 from bimatch.core import Matching, WeightedBipartiteGraph, build_graph
 from bimatch.feasibility import feasibility_precheck, is_feasible
@@ -27,6 +32,7 @@ from bimatch.scaling import (
     initial_eps,
     scale_graph,
     second_cost_sentinel_gap,
+    weight_ordered_rows,
 )
 from bimatch.tracing import TraceEvent
 
@@ -283,3 +289,166 @@ def test_hand_built_ties_go_to_the_lower_position(edges, rebid_v):
     assert auction == expected
     assert gk == expected
     assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
+
+
+# The weight-ordered scan.  A row with at least ORDERED_ROW_MIN_WEIGHTS
+# distinct weights is read in ascending (w, v) and cut short by the price
+# bound; every trace must still equal the plain scan's.
+
+
+@pytest.fixture
+def ordered_rows(monkeypatch) -> list[int]:
+    """Counts of ordered rows in every view the two solvers build."""
+    counts: list[int] = []
+
+    def counting(graph):
+        rows = weight_ordered_rows(graph)
+        counts.append(sum(row is not None for row in rows))
+        return rows
+
+    monkeypatch.setattr(auction_module, "weight_ordered_rows", counting)
+    monkeypatch.setattr(gk_module, "weight_ordered_rows", counting)
+    return counts
+
+
+# Person 0 reads v1, v2 and v3 at weight 5 before v0 at weight 50.  At
+# prices [100, 0, 0, 0], v0 is the cheapest at -50; its first bid drops
+# v0 to 44, and a bound taken from the prices after that bid would stop
+# the scan before v0.  At [45, 0, 0, 0], v0 ties the other three at 5 and
+# its weight equals the bound third + pmax exactly: the scan must read it,
+# since v0 is the lowest position of the tie.
+HEAVY_EDGE_LAST = [
+    (0, 0, 50), (0, 1, 5), (0, 2, 5), (0, 3, 5),
+    (1, 0, 1), (1, 1, 2),
+    (2, 0, 1), (2, 2, 2),
+    (3, 0, 1), (3, 3, 2),
+]
+
+
+class TestEveryRowOrdered:
+    """The families above again, with the cutoff at 2: every row with two
+    distinct weights is read in weight order."""
+
+    @pytest.fixture(autouse=True)
+    def every_row_ordered(self, monkeypatch, ordered_rows):
+        monkeypatch.setattr(scaling, "ORDERED_ROW_MIN_WEIGHTS", 2)
+        yield
+        assert any(ordered_rows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solver_traces_equal_the_plain_scan(self, seed):
+        test_solver_traces_equal_the_plain_scan(seed)
+
+    def test_single_edge_and_degree_two_rows(self):
+        test_single_edge_and_degree_two_rows()
+
+    def test_repeated_solves_do_not_share_a_cache(self):
+        test_repeated_solves_do_not_share_a_cache()
+
+    def test_direct_calls_with_arbitrary_prices(self):
+        test_direct_calls_with_arbitrary_prices()
+
+    def test_direct_calls_after_a_solve_like_sequence_with_rising_prices(self):
+        test_direct_calls_after_a_solve_like_sequence_with_rising_prices()
+
+    @pytest.mark.parametrize(
+        "edges, rebid_v",
+        [(THREE_WAY_AT_THIRD, 0), (TIE_ON_A_HIT, 1)],
+        ids=["three-way-at-third", "tie-on-a-hit"],
+    )
+    def test_hand_built_ties_go_to_the_lower_position(self, edges, rebid_v):
+        test_hand_built_ties_go_to_the_lower_position(edges, rebid_v)
+
+    @pytest.mark.parametrize(
+        "prices, best_rc",
+        [([100, 0, 0, 0], -50), ([45, 0, 0, 0], 5)],
+        ids=["cheapest-at-the-top-price", "tie-at-the-bound"],
+    )
+    def test_the_price_bound_reaches_the_last_edge(self, prices, best_rc):
+        g = build_graph(4, 4, HEAVY_EDGE_LAST)
+        auction, gk, expected = phase_events(g, 1, prices)
+        first = expected[0]
+        assert (first.selected_u, first.best_v, first.best_reduced_cost) == (
+            0, 0, best_rc
+        )
+        assert auction == expected
+        assert gk == expected
+
+    def test_direct_calls_with_small_range_weights_and_prices(self):
+        # rows of 3 to 12 weights in 1..4 against prices in -3..3: reduced
+        # costs tie often, between different weights too, and the object
+        # at the highest price is often the cheapest
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(3, 12)
+            g = draw(rng, n, n, lambda: rng.randint(3, n), lambda: rng.randint(1, 4))
+            prices = [rng.randint(-3, 3) for _ in range(n)]
+            for eps in (1, 2):
+                auction, gk, expected = phase_events(g, eps, prices)
+                assert auction == expected
+                assert gk == expected
+
+
+CUTOFF = scaling.ORDERED_ROW_MIN_WEIGHTS
+
+
+@pytest.mark.parametrize(
+    "label, low, high, n",
+    [
+        ("uniform", 1, 10_000, CUTOFF + 20),
+        ("negative", -400, 300, CUTOFF + 20),
+        # few more weights than the cutoff, on rows twice as long: reduced
+        # costs tie often, between different weights too
+        ("small-range", 1, CUTOFF + 15, 2 * CUTOFF + 20),
+    ],
+)
+def test_rows_above_the_real_cutoff(label, low, high, n, ordered_rows):
+    rng = random.Random(n + low)
+    for _ in range(2):
+        g = draw(rng, n, n, lambda: n, lambda: rng.randint(low, high))
+        expected = reference_solve(g)
+        got = traces(g)
+        assert got["auction"] == expected, label
+        assert got["gk"] == expected, label
+    assert all(ordered_rows), label
+
+
+def test_two_point_rows_above_the_cutoff_length_stay_plain(ordered_rows):
+    rng = random.Random(2)
+    n = CUTOFF + 10
+    g = draw(rng, n, n, lambda: n, lambda: rng.choice((1, 100)))
+    assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
+    assert ordered_rows == [0, 0]
+
+
+def test_rows_above_and_below_the_cutoff_in_one_graph(ordered_rows):
+    # rows of n - 5 and n edges, ordered, next to rows of 3, plain
+    rng = random.Random(9)
+    n = CUTOFF + 20
+    g = draw(
+        rng, n, n, lambda: rng.choice((3, n - 5, n)), lambda: rng.randint(1, 50_000)
+    )
+    assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
+    assert ordered_rows and 0 < ordered_rows[0] < n
+
+
+def test_unbalanced_graph_whose_mirror_has_both_kinds_of_rows(ordered_rows):
+    # half the persons reach almost every object and half reach three, so
+    # the mirror's original rows come long (ordered) and short (plain); its
+    # mirrored rows, one column each, hold about 30 edges (plain)
+    rng = random.Random(4)
+    s = CUTOFF + 10
+    n = s + 6
+    g = draw(
+        rng,
+        n,
+        s,
+        lambda: rng.choice((3, s - 2)),
+        lambda: rng.randint(-5_000, 5_000),
+    )
+    balanced = scale_graph(build_reduction(g).graph)
+    assert balanced.n == n + s
+    rows = weight_ordered_rows(balanced)
+    assert any(r is None for r in rows) and any(r is not None for r in rows)
+    assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
+    assert ordered_rows == [sum(r is not None for r in rows)] * 2

@@ -34,7 +34,16 @@ class TestFlowInstance:
         fi = to_flow_instance(g0())
         assert fi.n_arcs == 4
         assert fi.tail_of_arc == (0, 0, 1, 1)
+        assert fi.head_of_arc == (2, 3, 2, 3)
         assert fi.n_nodes == 4
+
+    def test_heads_share_one_int_per_node(self):
+        edges = [(u, v, u + v) for u in range(3) for v in range(3)]
+        g = scale_graph(build_graph(3, 3, edges))
+        fi = to_flow_instance(g)
+        assert fi.head_of_arc == tuple(3 + v for v in g.adj_v)
+        for a, b in zip(fi.head_of_arc, fi.head_of_arc[3:]):
+            assert a is b
 
     def test_rejects_unbalanced(self):
         with pytest.raises(ValueError, match="balanced"):

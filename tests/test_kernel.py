@@ -222,6 +222,19 @@ def test_deadline_is_checked_after_the_reduction():
             solver(g, precheck=False, deadline=time.monotonic() - 1.0)
 
 
+def test_the_column_kernel_probes_the_deadline_once_a_column():
+    g = ties_unbalanced(60, 8, 1)
+    expired = time.monotonic() - 1.0
+    with pytest.raises(SolveTimeout, match=r"reduction \(column kernel\)"):
+        column_kernel(g, expired)
+    with pytest.raises(SolveTimeout, match="column kernel"):
+        build_reduction(g, deadline=expired)
+    for solver in (eps_scaling_auction, goldberg_kennedy):
+        with pytest.raises(SolveTimeout, match="column kernel"):
+            solver(g, precheck=False, deadline=expired)
+    assert column_kernel(g, time.monotonic() + 60.0) == column_kernel(g)
+
+
 class TestTraceEquality:
     def kernel_instances(self):
         out = []

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimatch import auction, errors, gk
+from bimatch.errors import SolveTimeout
 from bimatch.scaling import (
+    ORDERED_ROW_MIN_WEIGHTS,
     eps_schedule,
     initial_eps,
     parse_alpha,
     scale_factor,
     scale_graph,
     second_cost_sentinel_gap,
+    weight_ordered_rows,
 )
 
 from bimatch.core import build_graph
@@ -93,3 +98,47 @@ class TestSentinelGap:
     def test_positive_even_for_zero_weights(self):
         assert second_cost_sentinel_gap(0) == 1
         assert second_cost_sentinel_gap(9) == 19
+
+
+class TestWeightOrderedRows:
+    D = ORDERED_ROW_MIN_WEIGHTS
+
+    def test_rows_sort_by_weight_then_object(self):
+        d = self.D
+        # row 0: d distinct weights, falling, with a repeat of each of the
+        # two smallest; row 1: one weight short of the cutoff
+        n = d + 2
+        w0 = [d - v if v < d else v - d + 1 for v in range(n)]
+        edges = [(0, v, w) for v, w in enumerate(w0)]
+        edges += [(1, v, v % (d - 1)) for v in range(n)]
+        edges += [(u, u, 1) for u in range(2, n)]
+        g = build_graph(n, n, edges)
+        rows = weight_ordered_rows(g)
+        assert len(rows) == n and rows[1:] == [None] * (n - 1)
+        order = rows[0]
+        assert sorted(order) == list(range(n))
+        keys = [(g.adj_w[i], g.adj_v[i]) for i in order]
+        assert keys == sorted(keys)
+        assert keys[:4] == [(1, d - 1), (1, d), (2, d - 2), (2, d + 1)]
+
+    def test_no_ordered_row_gives_an_empty_view(self):
+        assert weight_ordered_rows(g0()) == []
+
+    @pytest.mark.parametrize(
+        "module, solver",
+        [(auction, auction.eps_scaling_auction), (gk, gk.goldberg_kennedy)],
+        ids=["auction", "gk"],
+    )
+    def test_deadline_is_checked_after_the_view(self, monkeypatch, module, solver):
+        # the view's build is the stage that uses up the time
+        clock = SimpleNamespace(now=0.0)
+        fake_time = SimpleNamespace(monotonic=lambda: clock.now)
+        monkeypatch.setattr(errors, "time", fake_time)
+
+        def slow_view(graph):
+            clock.now = 2.0
+            return weight_ordered_rows(graph)
+
+        monkeypatch.setattr(module, "weight_ordered_rows", slow_view)
+        with pytest.raises(SolveTimeout, match="weight-ordered rows hit the deadline"):
+            solver(g0(), deadline=1.0)
