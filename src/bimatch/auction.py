@@ -31,13 +31,21 @@ one, so a direct caller with arbitrary prices gets the plain scan's result.
 
 A full scan of a long row usually needs only its lightest edges.  Each solve
 builds :func:`~bimatch.scaling.weight_ordered_rows` once, after scaling:
-each row with at least ``ORDERED_ROW_MIN_WEIGHTS`` (40) distinct weights,
-its positions sorted by ``(w, v)``.  A full scan of such a row walks that
-order and stops at the first edge with ``w > third + pmax``, where ``pmax``
-is the highest object price at the phase's start.
+each row with at least ``ORDERED_ROW_MIN_EDGES`` (40) edges and
+``ORDERED_ROW_MIN_WEIGHTS`` (3) distinct weights, its positions sorted by
+``(w, v)``.  A full scan of such a row walks that order and stops at the
+first edge with ``w > third + top``, where ``top`` is the highest object
+price at the time of the scan.
 
-- Exact: prices only fall within a phase, so every unread edge costs
-  ``w' - p(v') >= w' - pmax >= w - pmax > third``.  It can neither enter
+- The ceiling: the phase keeps ``top`` and the number of objects priced at
+  it.  A bid that lowers the last of them takes ``top`` afresh from
+  ``max`` over the prices.  Prices only fall, so ``top`` is never below a
+  live price: it changes only through that fresh maximum.  A wrong count
+  could only bring the refresh early or late; late leaves ``top`` too
+  high, which reads more but stays exact.  With no ordered row the phase
+  keeps no ceiling.
+- Exact: no price exceeds ``top``, so every unread edge costs
+  ``w' - p(v') >= w' - top >= w - top > third``.  It can neither enter
   the three smallest values nor tie the smallest, so best, second and
   third are those of the whole row.
 - Ties: the plain scan sends a tie at the minimum to the lowest position.
@@ -47,11 +55,15 @@ is the highest object price at the phase's start.
   becomes the best, and the old best becomes the runner-up.  A cache entry
   keeps the lower position first, as after a plain scan, so the hit path
   is unchanged.
-- The cutoff: ordering pays on rows of about 30 or more distinct weights,
-  and loses on rows with two.  40 keeps every row of the short-row and
-  two-weight benchmark workloads on the plain scan; the measurements are
-  at ``ORDERED_ROW_MIN_WEIGHTS``.
+- The gate: ordering pays on rows of about 30 or more edges with three or
+  more distinct weights, and does not pay with two.  40 edges keeps every
+  row of the short-row benchmark workload on the plain scan, and two-point
+  rows always stay plain; the measurements are at
+  ``ORDERED_ROW_MIN_EDGES``.
 
+The loop keeps ``owner[v]``, the person holding object ``v``, and builds
+the :class:`Matching` from it once, when the phase ends, so its
+consistency checks run once per pair rather than once per bid.
 A phase called without a view builds its own, so a direct call takes the
 same path as a solve.
 """
@@ -133,20 +145,26 @@ def auction_phase(
     sentinel_gap = second_cost_sentinel_gap(graph.max_abs_weight)
     check_persons_have_edges(graph)
 
-    matching = Matching(n, s)
+    owner: list[Optional[int]] = [None] * s
     if cache is None:
         cache = [None] * n
     if view is None:
         view = weight_ordered_rows(graph)
-    # prices only fall during the phase, so none ever exceeds its start max
     pmax = max(prices)
+    # The ordered scans' price ceiling: the exact current maximum price and
+    # how many objects hold it.  Kept only when some row is ordered.
+    ordered = bool(view)
+    top, at_top = pmax, prices.count(pmax)
     queue: deque[int] = deque(range(n))
+    pop, push = queue.popleft, queue.append
     cap = step_cap(graph, pmax - min(prices), eps)
+    probe = cap if deadline is None else 0
     step = 0
     while queue:
-        if step >= cap or (deadline is not None and step % DEADLINE_STRIDE == 0):
+        if step >= probe:
             check_step(step, cap, eps, deadline, "bidding phase")
-        u = queue.popleft()
+            probe = cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
+        u = pop()
 
         entry = cache[u]
         if entry is not None:
@@ -162,15 +180,15 @@ def auction_phase(
             else:
                 best_i, best_rc, second_rc = i1, rc1, rc2
         else:
-            if view and (order := view[u]) is not None:
-                # the row in ascending (w, v), cut short by the price bound
+            if ordered and (order := view[u]) is not None:
+                # the row in ascending (w, v), cut short by the price ceiling
                 best_rc = second_rc = third = limit = inf
                 best_i = second_i = -1
                 for i in order:
                     w = adj_w[i]
                     if w > limit:
                         # every edge from here on costs w' - p(v') >=
-                        # w - pmax > third: best, second and third are final
+                        # w - top > third: best, second and third are final
                         break
                     rc = w - prices[adj_v[i]]
                     if rc <= third:
@@ -188,7 +206,7 @@ def auction_phase(
                             third = rc
                             if rc == best_rc and i < best_i:
                                 best_i = i
-                        limit = third + pmax
+                        limit = third + top
             else:
                 best_i = off[u]
                 best_rc = adj_w[best_i] - prices[adj_v[best_i]]
@@ -219,12 +237,17 @@ def auction_phase(
         best_v = adj_v[best_i]
         gamma = second_rc - best_rc
 
-        displaced = matching.match_of_v[best_v]
+        displaced = owner[best_v]
         if displaced is not None:
-            matching.unassign(displaced, best_v)
-            queue.append(displaced)
-        matching.assign(u, best_v)
-        prices[best_v] = prices[best_v] - gamma - eps
+            push(displaced)
+        owner[best_v] = u
+        old_price = prices[best_v]
+        price = prices[best_v] = old_price - gamma - eps
+        if ordered and old_price == top:
+            at_top -= 1
+            if not at_top:
+                top = max(prices)
+                at_top = prices.count(top)
 
         if trace_sink is not None:
             trace_sink.append(
@@ -236,11 +259,14 @@ def auction_phase(
                     best_reduced_cost=best_rc,
                     second_reduced_cost=second_rc,
                     gamma=gamma,
-                    new_price_v=prices[best_v],
+                    new_price_v=price,
                     displaced_u=displaced,
                 )
             )
         step += 1
+    matching = Matching(n, s)
+    for v, u in enumerate(owner):
+        matching.assign(u, v)
     return matching, prices
 
 

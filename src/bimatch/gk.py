@@ -39,25 +39,34 @@ one, so a direct caller with arbitrary prices gets the plain scan's result.
 
 A full scan of a long row usually needs only its lightest arcs.  Each solve
 builds :func:`~bimatch.scaling.weight_ordered_rows` once, after scaling:
-each row with at least ``ORDERED_ROW_MIN_WEIGHTS`` (40) distinct weights,
-its arcs sorted by ``(w, v)``.  A full scan of such a row walks that order
-and stops at the first arc with ``w > third + pmax``, where ``pmax`` is the
-highest object price at the refine's start.
+each row with at least ``ORDERED_ROW_MIN_EDGES`` (40) arcs and
+``ORDERED_ROW_MIN_WEIGHTS`` (3) distinct weights, its arcs sorted by
+``(w, v)``.  A full scan of such a row walks that order and stops at the
+first arc with ``w > third + top``, where ``top`` is the highest object
+price at the time of the scan.
 
-- Exact: object prices only fall within a refine, so every unread arc
-  costs ``w' - p(v') >= w' - pmax >= w - pmax > third``.  It can neither
-  enter the three smallest values nor tie the smallest, so best, second
-  and third are those of the whole row.
+- The ceiling: the round keeps ``top`` and the number of objects priced at
+  it.  A double push that lowers the last of them takes ``top`` afresh
+  from ``max`` over the object prices.  Object prices only fall, so
+  ``top`` is never below a live price: it changes only through that fresh
+  maximum.  A wrong count could only bring the refresh early or late;
+  late leaves ``top`` too high, which reads more but stays exact.  With
+  no ordered row the round keeps no ceiling.
+- Exact: no object price exceeds ``top``, so every unread arc costs
+  ``w' - p(v') >= w' - top >= w - top > third``.  It can neither enter
+  the three smallest values nor tie the smallest, so best, second and
+  third are those of the whole row.
 - Ties: the plain scan sends a tie at the minimum to the lowest arc.
   Equal weights are read in ascending arc order anyway, but equal costs
   may come from different weights in either order.  So an arc that ties
   the best with a lower index takes its place explicitly: it becomes the
   best, and the old best becomes the runner-up.  A cache entry keeps the
   lower arc first, as after a plain scan, so the hit path is unchanged.
-- The cutoff: ordering pays on rows of about 30 or more distinct weights,
-  and loses on rows with two.  40 keeps every row of the short-row and
-  two-weight benchmark workloads on the plain scan; the measurements are
-  at ``ORDERED_ROW_MIN_WEIGHTS``.
+- The gate: ordering pays on rows of about 30 or more arcs with three or
+  more distinct weights, and does not pay with two.  40 arcs keeps every
+  row of the short-row benchmark workload on the plain scan, and
+  two-point rows always stay plain; the measurements are at
+  ``ORDERED_ROW_MIN_EDGES``.
 
 Scans and cache checks read object prices through ``head_of_arc``, the
 node id ``n + v`` of each arc, so no cost lookup adds ``n``.  A refine
@@ -70,6 +79,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import inf
 from typing import Callable, Optional
 
@@ -173,9 +183,9 @@ def flow_to_matching(fi: FlowInstance, flow: list[int]) -> Matching:
     """
     g = fi.graph
     matching = Matching(g.n, g.s)
-    for a, f in enumerate(flow):
-        if f:
-            matching.assign(fi.tail_of_arc[a], g.adj_v[a])
+    tail, adj_v = fi.tail_of_arc, g.adj_v
+    for a in compress(range(len(flow)), flow):
+        matching.assign(tail[a], adj_v[a])
     if matching.size != g.s:
         raise ValueError("pseudoflow still has active or deficient nodes")
     return matching
@@ -243,17 +253,23 @@ def refine(
         cache = [None] * n
     if view is None:
         view = weight_ordered_rows(g)
-    # object prices only fall during the round, so none exceeds its start max
-    pmax = max(prices[n:])
+    objects = prices[n:]
+    pmax = max(objects)
+    # The ordered scans' price ceiling: the exact current maximum object
+    # price and how many objects hold it.  Kept only when some row is ordered.
+    ordered = bool(view)
+    top, at_top = pmax, objects.count(pmax)
     queue: deque[int] = deque(range(n))
-    cap = step_cap(g, pmax - min(prices[n:]), eps)
+    pop, push = queue.popleft, queue.append
+    cap = step_cap(g, pmax - min(objects), eps)
+    probe = cap if deadline is None else 0
     step = 0
     while queue:
-        if step >= cap or (deadline is not None and step % DEADLINE_STRIDE == 0):
+        if step >= probe:
             check_step(step, cap, eps, deadline, "refine")
-        u = queue.popleft()
+            probe = cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
+        u = pop()
 
-        lo, hi = off[u], off[u + 1]
         entry = cache[u]
         if entry is not None:
             a1, a2, third = entry
@@ -268,15 +284,15 @@ def refine(
             else:
                 best_arc, best_rc, second_rc = a1, rc1, rc2
         else:
-            if view and (order := view[u]) is not None:
-                # the row in ascending (w, v), cut short by the price bound
+            if ordered and (order := view[u]) is not None:
+                # the row in ascending (w, v), cut short by the price ceiling
                 best_rc = second_rc = third = limit = inf
                 best_arc = second_arc = -1
                 for a in order:
                     w = adj_w[a]
                     if w > limit:
                         # every arc from here on costs w' - p(v') >=
-                        # w - pmax > third: best, second and third are final
+                        # w - top > third: best, second and third are final
                         break
                     rc = w - prices[head[a]]
                     if rc <= third:
@@ -294,13 +310,13 @@ def refine(
                             third = rc
                             if rc == best_rc and a < best_arc:
                                 best_arc = a
-                        limit = third + pmax
+                        limit = third + top
             else:
-                best_arc = lo
-                best_rc = adj_w[lo] - prices[head[lo]]
+                best_arc = off[u]
+                best_rc = adj_w[best_arc] - prices[head[best_arc]]
                 second_rc = third = inf
                 second_arc = -1
-                for a in range(lo + 1, hi):
+                for a in range(best_arc + 1, off[u + 1]):
                     rc = adj_w[a] - prices[head[a]]
                     if rc < third:
                         if rc < second_rc:
@@ -323,16 +339,17 @@ def refine(
             else:
                 cache[u] = None
         v = adj_v[best_arc]
+        node_v = head[best_arc]
 
-        prices[u] = -second_rc
-        old_price_v = prices[n + v]
+        price_u = prices[u] = -second_rc
+        old_price_v = prices[node_v]
         prev_arc = owner_arc[v]
         displaced: Optional[int] = None
         if prev_arc >= 0:
             displaced = tail[prev_arc]
-            queue.append(displaced)
+            push(displaced)
         owner_arc[v] = best_arc
-        new_price_v = prices[u] + adj_w[best_arc] - eps
+        new_price_v = price_u + adj_w[best_arc] - eps
 
         # Correspondence guard, always on: the push-relabel update must
         # coincide with the bidding update old_price - gap - eps.
@@ -342,9 +359,16 @@ def refine(
                 f"price update mismatch at u={u}, v={v}: "
                 f"{new_price_v} != {old_price_v} - {gamma} - {eps}"
             )
-        prices[n + v] = new_price_v
+        prices[node_v] = new_price_v
+        if ordered and old_price_v == top:
+            at_top -= 1
+            if not at_top:
+                objects = prices[n:]
+                top = max(objects)
+                at_top = objects.count(top)
 
         if check_identities:
+            lo, hi = off[u], off[u + 1]
             rescan = min(
                 adj_w[a] - prices[n + adj_v[a]] for a in range(lo, hi)
             )

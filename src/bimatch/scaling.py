@@ -9,6 +9,7 @@ a whole unit).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -29,16 +30,24 @@ def scale_graph(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     return replace(graph, adj_w=tuple(w * k for w in graph.adj_w))
 
 
-# A person's row is read in weight order only when it holds at least this
-# many distinct weights.  Every row ordered against none, on er n=s=300
+# A person's row is read in weight order when it holds at least
+# ORDERED_ROW_MIN_EDGES edges and at least ORDERED_ROW_MIN_WEIGHTS distinct
+# weights.  Row length: every row ordered against none, on er n=s=300
 # graphs with uniform weights (auction, median of 5 passes over 6 draws,
-# the row sort included): 21 edges a row 13.0 against 12.8 ms, 30 edges
-# 14.0 against 16.4, 45 edges 22.5 against 29.9, 60 edges 25.4 against
-# 37.0.  With two distinct weights (d=0.5) ordering lost, 64.4 against
-# 57.9 ms.  So ordering pays from about 30 distinct weights, and 40 is the
-# lowest round cutoff that keeps every row of sparse-square (at most 34
-# edges) and of ties-unbalanced (two weights) on the plain scan.
-ORDERED_ROW_MIN_WEIGHTS = 40
+# the row sort included, stop at the phase's start price), 21 edges a row
+# 13.0 against 12.8 ms, 30 edges 14.0 against 16.4, 45 edges 22.5 against
+# 29.9, 60 edges 25.4 against 37.0.  So ordering pays from about 30
+# edges, and 40 is the lowest round length that keeps every row of
+# sparse-square (at most 34 edges) on the plain scan.  Distinct weights:
+# every row of at least 40 edges ordered against none, er n=s=300 at
+# d=0.5 (about 150 edges a row), weights drawn from 1..k, stop at the
+# current price ceiling, same timing: auction k=2 40.8 against 40.4 ms,
+# k=3 33.7 against 43.6, k=4 30.8 against 46.1, k=5 27.5 against 45.2;
+# gk k=2 44.4 against 45.6, k=3 37.3 against 49.2, k=4 35.3 against
+# 51.9.  Two-point rows gain nothing, so they stay plain; three weights
+# already pay.
+ORDERED_ROW_MIN_EDGES = 40
+ORDERED_ROW_MIN_WEIGHTS = 3
 
 # Per person: its adjacency positions in ascending ``(w, v)`` order, or None
 # for a row read in position order.  Empty when no row is ordered.
@@ -48,19 +57,30 @@ OrderedRows = list[Optional[list[int]]]
 def weight_ordered_rows(graph: WeightedBipartiteGraph) -> OrderedRows:
     """The weight-ordered view of ``graph``'s rows that both bid loops read.
 
-    A row with at least :data:`ORDERED_ROW_MIN_WEIGHTS` distinct weights
-    gets its positions sorted by weight; the sort is stable and each row is
-    in ascending ``v``, so equal weights stay in ascending ``v``.  Other
-    rows get None.  When no row qualifies the result is empty, so the loops
-    skip the per-bid lookup.
+    A row with at least :data:`ORDERED_ROW_MIN_EDGES` edges gets its
+    positions sorted by weight; the sort is stable and each row is in
+    ascending ``v``, so equal weights stay in ascending ``v``.  It keeps
+    that order when the sorted row holds at least
+    :data:`ORDERED_ROW_MIN_WEIGHTS` distinct weights, counted by hopping
+    over each run of equal weights with a bisection.  Other rows get None.
+    When no row qualifies the result is empty, so the loops skip the
+    per-bid lookup.
     """
-    cutoff = ORDERED_ROW_MIN_WEIGHTS
+    min_edges, hops = ORDERED_ROW_MIN_EDGES, ORDERED_ROW_MIN_WEIGHTS - 1
     off, adj_w = graph.adj_off, graph.adj_w
+    weight = adj_w.__getitem__
     rows: OrderedRows = [None] * graph.n
     for u in range(graph.n):
         lo, hi = off[u], off[u + 1]
-        if hi - lo >= cutoff and len(set(adj_w[lo:hi])) >= cutoff:
-            rows[u] = sorted(range(lo, hi), key=adj_w.__getitem__)
+        if hi - lo >= min_edges:
+            order = sorted(range(lo, hi), key=weight)
+            j = 0
+            for _ in range(hops):
+                j = bisect_right(order, adj_w[order[j]], j, key=weight)
+                if j == len(order):
+                    break
+            else:
+                rows[u] = order
     return rows if any(rows) else []
 
 
@@ -127,8 +147,9 @@ def check_step(
 
     A loop calls this only when ``step >= cap`` or, with a deadline set, when
     ``step`` is a multiple of :data:`DEADLINE_STRIDE`, so no bid pays for
-    the call.  Raises :class:`IterationLimitError` at the cap and
-    :class:`SolveTimeout` once ``deadline`` has passed.
+    the call: it keeps the next such step as ``probe`` and pays one
+    ``step >= probe`` compare a bid.  Raises :class:`IterationLimitError`
+    at the cap and :class:`SolveTimeout` once ``deadline`` has passed.
     """
     if step >= cap:
         raise IterationLimitError(

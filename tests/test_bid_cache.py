@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from math import inf
 from typing import Optional
 
 import pytest
@@ -291,9 +292,10 @@ def test_hand_built_ties_go_to_the_lower_position(edges, rebid_v):
     assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
 
 
-# The weight-ordered scan.  A row with at least ORDERED_ROW_MIN_WEIGHTS
-# distinct weights is read in ascending (w, v) and cut short by the price
-# bound; every trace must still equal the plain scan's.
+# The weight-ordered scan.  A row with at least ORDERED_ROW_MIN_EDGES edges
+# and ORDERED_ROW_MIN_WEIGHTS distinct weights is read in ascending (w, v)
+# and cut short by the price ceiling; every trace must still equal the
+# plain scan's.
 
 
 @pytest.fixture
@@ -326,11 +328,12 @@ HEAVY_EDGE_LAST = [
 
 
 class TestEveryRowOrdered:
-    """The families above again, with the cutoff at 2: every row with two
-    distinct weights is read in weight order."""
+    """The families above again, with both minimums at 2: every row with
+    two distinct weights is read in weight order."""
 
     @pytest.fixture(autouse=True)
     def every_row_ordered(self, monkeypatch, ordered_rows):
+        monkeypatch.setattr(scaling, "ORDERED_ROW_MIN_EDGES", 2)
         monkeypatch.setattr(scaling, "ORDERED_ROW_MIN_WEIGHTS", 2)
         yield
         assert any(ordered_rows)
@@ -389,7 +392,119 @@ class TestEveryRowOrdered:
                 assert gk == expected
 
 
-CUTOFF = scaling.ORDERED_ROW_MIN_WEIGHTS
+class CountingRow(list):
+    """A view row that counts the entries the scans take from it.
+
+    Each scan also adds to ``exact`` the entries a scan stopped by the exact
+    ceiling takes: up to and including the first edge with ``w > third +
+    top``, where ``third`` is the third-smallest reduced cost read before
+    it and ``top`` the highest object price.  Object ``v``'s price is
+    ``prices[first + v]`` of the list the solver mutates.
+    """
+
+    def __init__(self, graph, u, prices, first):
+        off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
+        super().__init__(
+            sorted(range(off[u], off[u + 1]), key=lambda i: (adj_w[i], adj_v[i]))
+        )
+        self.graph, self.prices, self.first = graph, prices, first
+        self.taken = self.exact = 0
+
+    def __iter__(self):
+        adj_v, adj_w = self.graph.adj_v, self.graph.adj_w
+        prices, first = self.prices, self.first
+        top = max(prices[first:])
+        smallest = [inf] * 3
+        self.exact += len(self)
+        for k, i in enumerate(list.__iter__(self)):
+            if adj_w[i] > smallest[2] + top:
+                self.exact -= len(self) - k - 1
+                break
+            smallest = sorted(smallest + [adj_w[i] - prices[first + adj_v[i]]])[:3]
+        for i in list.__iter__(self):
+            self.taken += 1
+            yield i
+
+
+def counted_phase_events(graph, eps, prices):
+    """Like :func:`phase_events`, with every row read through a
+    :class:`CountingRow`; also returns each solver's rows."""
+    n = graph.n
+    auction_prices = list(prices)
+    gk_prices = [0] * n + list(prices)
+    views = {
+        "auction": [CountingRow(graph, u, auction_prices, 0) for u in range(n)],
+        "gk": [CountingRow(graph, u, gk_prices, n) for u in range(n)],
+    }
+    auction: list[TraceEvent] = []
+    auction_phase(
+        graph, eps, auction_prices, trace_sink=auction, view=views["auction"]
+    )
+    gk: list[TraceEvent] = []
+    refine(to_flow_instance(graph), eps, gk_prices, trace_sink=gk, view=views["gk"])
+    expected: list[TraceEvent] = []
+    reference_phase(graph, eps, list(prices), expected)
+    return auction, gk, expected, views
+
+
+# The price ceiling.  Person 0 outbids the only object at the top price,
+# v0 at 100, down to -1, so the ceiling falls to v1's 50.  Person 1 then
+# reads v2, v3, v0 (third 4, limit 54) and v1 at weight 40, its cheapest
+# at -10 (third 2, limit 52), and stops at v4's 60: 5 entries of 6.  A
+# ceiling set to v0's new price would stop before v1; one left at 100
+# would read v5 as well.  Persons 2-5 each take their one object.
+TOP_OUTBID = [
+    (0, 0, 0), (0, 2, 0),
+    (1, 0, 3), (1, 1, 40), (1, 2, 1), (1, 3, 2), (1, 4, 60), (1, 5, 70),
+    (2, 2, 5), (3, 3, 5), (4, 4, 5), (5, 5, 5),
+]
+
+# The same with v0 and v1 tied at the top price of 100.  Outbidding v0
+# leaves v1 there, so the ceiling stays at 100: person 1 reads v1 at
+# weight 90 (limit 104) and stops at v4's 150 (limit 102), 5 entries of 6.
+TOP_TIED = [
+    (0, 0, 0), (0, 2, 0),
+    (1, 0, 3), (1, 1, 90), (1, 2, 1), (1, 3, 2), (1, 4, 150), (1, 5, 250),
+    (2, 2, 5), (3, 3, 5), (4, 4, 5), (5, 5, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "edges, prices",
+    [(TOP_OUTBID, [100, 50, 0, 0, 0, 0]), (TOP_TIED, [100, 100, 0, 0, 0, 0])],
+    ids=["only-object-at-the-top", "two-objects-at-the-top"],
+)
+def test_the_ceiling_follows_the_top_price(edges, prices):
+    g = build_graph(6, 6, edges)
+    auction, gk, expected, views = counted_phase_events(g, 1, prices)
+    assert [(e.selected_u, e.best_v) for e in expected[:2]] == [(0, 0), (1, 1)]
+    assert expected[1].best_reduced_cost == -10
+    assert auction == expected
+    assert gk == expected
+    for view in views.values():
+        assert [row.taken for row in view] == [2, 5, 1, 1, 1, 1]
+        assert [row.exact for row in view] == [2, 5, 1, 1, 1, 1]
+
+
+def test_the_ceiling_falls_through_a_price_war():
+    # rows of 1..6 against prices spread over 0..90: bids outbid the
+    # top-priced objects again and again, and each scan must stop exactly
+    # where the current top price lets it
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(4, 14)
+        g = draw(rng, n, n, lambda: rng.randint(3, n), lambda: rng.randint(1, 6))
+        prices = [rng.choice((0, 30, 60, 90)) for _ in range(n)]
+        for eps in (1, 3):
+            auction, gk, expected, views = counted_phase_events(g, eps, prices)
+            assert auction == expected
+            assert gk == expected
+            for view in views.values():
+                assert [row.taken for row in view] == [row.exact for row in view]
+
+
+CUTOFF = scaling.ORDERED_ROW_MIN_EDGES
+FEW = scaling.ORDERED_ROW_MIN_WEIGHTS
 
 
 @pytest.mark.parametrize(
@@ -397,9 +512,11 @@ CUTOFF = scaling.ORDERED_ROW_MIN_WEIGHTS
     [
         ("uniform", 1, 10_000, CUTOFF + 20),
         ("negative", -400, 300, CUTOFF + 20),
-        # few more weights than the cutoff, on rows twice as long: reduced
-        # costs tie often, between different weights too
+        # few more weights than the row length minimum, on rows twice as
+        # long: reduced costs tie often, between different weights too
         ("small-range", 1, CUTOFF + 15, 2 * CUTOFF + 20),
+        # just the distinct minimum: long runs of equal weights
+        ("few-weights", 1, FEW, CUTOFF + 10),
     ],
 )
 def test_rows_above_the_real_cutoff(label, low, high, n, ordered_rows):

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimatch import auction, errors, gk
+from bimatch import auction, errors, gk, scaling
 from bimatch.errors import SolveTimeout
 from bimatch.scaling import (
+    ORDERED_ROW_MIN_EDGES,
     ORDERED_ROW_MIN_WEIGHTS,
     eps_schedule,
     initial_eps,
@@ -25,7 +26,7 @@ from bimatch.scaling import (
 
 from bimatch.core import build_graph
 
-from conftest import g0
+from conftest import g0, random_feasible_graphs
 
 
 class TestScaleGraph:
@@ -101,25 +102,34 @@ class TestSentinelGap:
 
 
 class TestWeightOrderedRows:
-    D = ORDERED_ROW_MIN_WEIGHTS
+    D = ORDERED_ROW_MIN_EDGES
+    K = ORDERED_ROW_MIN_WEIGHTS
 
     def test_rows_sort_by_weight_then_object(self):
         d = self.D
         # row 0: d distinct weights, falling, with a repeat of each of the
-        # two smallest; row 1: one weight short of the cutoff
+        # two smallest; row 1: one weight short of the distinct minimum;
+        # row 2: exactly the distinct minimum, the last weight once; row 3:
+        # d distinct weights, one edge short of the length minimum
         n = d + 2
         w0 = [d - v if v < d else v - d + 1 for v in range(n)]
         edges = [(0, v, w) for v, w in enumerate(w0)]
-        edges += [(1, v, v % (d - 1)) for v in range(n)]
-        edges += [(u, u, 1) for u in range(2, n)]
+        edges += [(1, v, v % (self.K - 1)) for v in range(n)]
+        edges += [(2, v, min(v, self.K - 1) if v < self.K else 0) for v in range(n)]
+        edges += [(3, v, v) for v in range(d - 1)]
+        edges += [(u, u, 1) for u in range(4, n)]
         g = build_graph(n, n, edges)
         rows = weight_ordered_rows(g)
-        assert len(rows) == n and rows[1:] == [None] * (n - 1)
-        order = rows[0]
-        assert sorted(order) == list(range(n))
-        keys = [(g.adj_w[i], g.adj_v[i]) for i in order]
-        assert keys == sorted(keys)
+        assert len(rows) == n
+        assert rows[1] is None and rows[3:] == [None] * (n - 3)
+        for u in (0, 2):
+            order = rows[u]
+            assert sorted(order) == list(range(g.adj_off[u], g.adj_off[u + 1]))
+            keys = [(g.adj_w[i], g.adj_v[i]) for i in order]
+            assert keys == sorted(keys)
+        keys = [(g.adj_w[i], g.adj_v[i]) for i in rows[0]]
         assert keys[:4] == [(1, d - 1), (1, d), (2, d - 2), (2, d + 1)]
+        assert len({g.adj_w[i] for i in rows[2]}) == self.K
 
     def test_no_ordered_row_gives_an_empty_view(self):
         assert weight_ordered_rows(g0()) == []
@@ -142,3 +152,65 @@ class TestWeightOrderedRows:
         monkeypatch.setattr(module, "weight_ordered_rows", slow_view)
         with pytest.raises(SolveTimeout, match="weight-ordered rows hit the deadline"):
             solver(g0(), deadline=1.0)
+
+
+def run_bid_loop(module, graph, **kwargs):
+    """One direct phase of ``module``'s bid loop at eps=1 from zero prices."""
+    if module is auction:
+        auction.auction_phase(graph, 1, [0] * graph.s, **kwargs)
+    else:
+        gk.refine(gk.to_flow_instance(graph), 1, [0] * (graph.n + graph.s), **kwargs)
+
+
+class TestStepGuard:
+    """Both bid loops probe the deadline at every DEADLINE_STRIDE-th step,
+    and only there."""
+
+    GRAPH = scale_graph(
+        next(random_feasible_graphs(3, 1, max_n=12, balanced=True, density=0.9))
+    )
+
+    @pytest.fixture(params=[auction, gk], ids=["auction", "gk"])
+    def module(self, request):
+        return request.param
+
+    def test_a_deadline_passed_mid_phase_stops_it_at_the_next_probe(
+        self, monkeypatch, module
+    ):
+        clock = SimpleNamespace(now=0.0)
+        fake_time = SimpleNamespace(monotonic=lambda: clock.now)
+        monkeypatch.setattr(errors, "time", fake_time)
+
+        class Expiring(list):
+            """A trace sink that lets the deadline pass after the first bid."""
+
+            def append(self, event):
+                super().append(event)
+                clock.now = 2.0
+
+        # the default stride probes only at step 0, before the deadline
+        events = Expiring()
+        run_bid_loop(module, self.GRAPH, deadline=1.0, trace_sink=events)
+        assert len(events) > 1
+        clock.now = 0.0
+        monkeypatch.setattr(module, "DEADLINE_STRIDE", 1)
+        events = Expiring()
+        with pytest.raises(SolveTimeout, match="at eps=1 hit the deadline"):
+            run_bid_loop(module, self.GRAPH, deadline=1.0, trace_sink=events)
+        assert len(events) == 1
+
+    def test_the_guard_runs_at_each_stride_and_nowhere_else(self, monkeypatch, module):
+        steps: list[int] = []
+
+        def recording(step, *args):
+            steps.append(step)
+            scaling.check_step(step, *args)
+
+        monkeypatch.setattr(module, "check_step", recording)
+        monkeypatch.setattr(module, "DEADLINE_STRIDE", 2)
+        events: list = []
+        run_bid_loop(module, self.GRAPH, trace_sink=events)
+        assert steps == []
+        run_bid_loop(module, self.GRAPH, deadline=float("inf"))
+        assert len(events) > 4
+        assert steps == list(range(0, len(events), 2))
