@@ -31,6 +31,21 @@ left vertices play their columns, the objects.
    finds a cheapest alternating path to an unmatched left vertex.  The
    duals shift so the path becomes tight, and the path is flipped.
 
+Stages 2 and 3 read a column in ascending ``(w, u)`` and stop early; both
+stops rest on ``y_u <= 0``, so ``w - y_u >= w`` on every entry.
+
+* A bid stops at the first entry with ``w > second``, the runner-up so
+  far: that entry and every later one cost more than ``second``.  Ties are
+  broken toward the lower ``u`` explicitly, so the two kept entries are the
+  two least by ``(w - y_u, u)``, as an ascending-``u`` scan would keep them.
+* A search keeps ``ub``, the least tentative distance of an unmatched left
+  vertex reached so far, and a fan-out at distance ``base`` stops at the
+  first entry with ``w > ub - base``.  Every skipped relaxation would give a
+  distance above ``ub``, which is at least the final path length, so it
+  could not be popped before the search ends: pops, the settled set, their
+  predecessors, the dual shifts and the flipped path are those of the full
+  fan-out.
+
 On tied instances several matchings reach the optimum weight; which one is
 returned depends on the start, so it may differ from other solvers' choice.
 
@@ -52,7 +67,12 @@ from .feasibility import feasibility_precheck
 
 # Bid budget of the augmenting row reduction, per right vertex.  Of 3, 4, 6,
 # 8 and 10, 8 left the fastest solves on random square graphs (n = 300 to
-# 2000); beyond it, bids go to price wars among the last few free vertices.
+# 2000) with bids that read whole columns; beyond it, bids go to price wars
+# among the last few free vertices.  With weight-ordered columns (median ms
+# of 3 passes, 2-core Xeon, Python 3.11) for 4 / 8 / 16 / 32: perfbench
+# dense-square 15.2 / 13.5 / 14.3 / 17.7, sparse-square 39.2 / 36.8 / 33.5 /
+# 39.2, er n=s=1000 at d=0.5 181 / 157 / 163 / 179.  A new budget would change
+# which optimum a tied instance returns, so 8 stays.
 ROW_REDUCTION_BIDS = 8
 
 INF = float("inf")
@@ -61,8 +81,10 @@ INF = float("inf")
 def _right_adjacency(
     graph: WeightedBipartiteGraph,
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Left neighbors and weights of each right vertex, in ascending left
-    index, transposed straight from the compressed rows."""
+    """Left neighbors and weights of each right vertex, transposed straight
+    from the compressed rows, so in ascending left index.  The greedy pass
+    reads them in that order; :func:`_order_column` re-sorts a column by
+    ``(w, u)`` the first time stage 2 or a stage-3 fan-out reads it."""
     by_u: list[list[int]] = [[] for _ in range(graph.s)]
     by_w: list[list[int]] = [[] for _ in range(graph.s)]
     adj_off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
@@ -72,6 +94,18 @@ def _right_adjacency(
             by_u[v].append(u)
             by_w[v].append(adj_w[i])
     return by_u, by_w
+
+
+def _order_column(
+    adj_u: list[list[int]], adj_w: list[list[int]], ordered: list[bool], v: int
+) -> None:
+    """Sort column ``v`` by ``(w, u)`` in place; a stable sort on the weights
+    keeps equal weights in the ascending ``u`` they were built in."""
+    us, ws = adj_u[v], adj_w[v]
+    order = sorted(range(len(ws)), key=ws.__getitem__)
+    adj_u[v] = [us[i] for i in order]
+    adj_w[v] = [ws[i] for i in order]
+    ordered[v] = True
 
 
 def hungarian(
@@ -116,8 +150,9 @@ def hungarian(
                 break
     check_deadline(deadline, "greedy start")
 
+    ordered = [False] * s
     free = _augmenting_row_reduction(
-        adj_u, adj_w, y_u, y_v, matching,
+        adj_u, adj_w, ordered, y_u, y_v, matching,
         [v for v in range(s) if match_of_v[v] is None], deadline,
     )
     if validate_duals:
@@ -138,11 +173,14 @@ def hungarian(
         rcs = [w - y_u[u] for u, w in zip(us, adj_w[v0])]
         y_v[v0] = low = min(rcs)
         heap: list[tuple[int, int]] = []
+        ub = INF  # least tentative distance of an unmatched left vertex
         for u, rc in zip(us, rcs):
             rc -= low
             dist[u] = rc
             pred_v[u] = v0
             heappush(heap, (rc, u))
+            if rc < ub and match_of_u[u] is None:
+                ub = rc
         touched = list(us)
         settled: list[int] = []
         rows = [v0]
@@ -161,11 +199,17 @@ def hungarian(
             if v is None:
                 u_star = u
                 break
-            # Cross the tight matched edge into u's partner, then fan out.
+            # Cross the tight matched edge into u's partner, then fan out
+            # until an entry's weight alone reaches past ub.
             rows.append(v)
             row_dist.append(d)
             base = d - y_v[v]
+            if not ordered[v]:
+                _order_column(adj_u, adj_w, ordered, v)
+            limit = ub - base
             for u2, w in zip(adj_u[v], adj_w[v]):
+                if w > limit:
+                    break
                 nd = base + w - y_u[u2]
                 if nd < dist[u2]:
                     if dist[u2] == INF:
@@ -173,6 +217,9 @@ def hungarian(
                     dist[u2] = nd
                     pred_v[u2] = v
                     heappush(heap, (nd, u2))
+                    if nd < ub and match_of_u[u2] is None:
+                        ub = nd
+                        limit = ub - base
 
         if u_star < 0:
             raise InfeasibleInstanceError(
@@ -209,6 +256,7 @@ def hungarian(
 def _augmenting_row_reduction(
     adj_u: list[list[int]],
     adj_w: list[list[int]],
+    ordered: list[bool],
     y_u: list[int],
     y_v: list[int],
     matching: Matching,
@@ -234,12 +282,18 @@ def _augmenting_row_reduction(
         bids += 1
         if bids % DEADLINE_STRIDE == 0:
             check_deadline(deadline, "row reduction")
+        if not ordered[v]:
+            _order_column(adj_u, adj_w, ordered, v)
+        # the two least entries by (w - y_u, u); no later entry can beat
+        # second once its weight alone exceeds it
         first = second = INF
         u1 = u2 = -1
         for u, w in zip(adj_u[v], adj_w[v]):
+            if w > second:
+                break
             a = w - y_u[u]
-            if a < second:
-                if a < first:
+            if a < second or (a == second and u < u2):
+                if a < first or (a == first and u < u1):
                     second, u2 = first, u1
                     first, u1 = a, u
                 else:

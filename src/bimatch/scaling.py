@@ -9,7 +9,6 @@ a whole unit).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -57,30 +56,27 @@ OrderedRows = list[Optional[list[int]]]
 def weight_ordered_rows(graph: WeightedBipartiteGraph) -> OrderedRows:
     """The weight-ordered view of ``graph``'s rows that both bid loops read.
 
-    A row with at least :data:`ORDERED_ROW_MIN_EDGES` edges gets its
-    positions sorted by weight; the sort is stable and each row is in
-    ascending ``v``, so equal weights stay in ascending ``v``.  It keeps
-    that order when the sorted row holds at least
-    :data:`ORDERED_ROW_MIN_WEIGHTS` distinct weights, counted by hopping
-    over each run of equal weights with a bisection.  Other rows get None.
+    A row with at least :data:`ORDERED_ROW_MIN_EDGES` edges and at least
+    :data:`ORDERED_ROW_MIN_WEIGHTS` distinct weights gets its positions
+    sorted by weight; the sort is stable and each row is in ascending
+    ``v``, so equal weights stay in ascending ``v``.  The weights are
+    counted before any sort: a row whose first ``ORDERED_ROW_MIN_WEIGHTS``
+    weights are already distinct qualifies at once, and any other row
+    counts the distinct weights of the whole row.  Other rows get None.
     When no row qualifies the result is empty, so the loops skip the
     per-bid lookup.
     """
-    min_edges, hops = ORDERED_ROW_MIN_EDGES, ORDERED_ROW_MIN_WEIGHTS - 1
+    min_edges, min_weights = ORDERED_ROW_MIN_EDGES, ORDERED_ROW_MIN_WEIGHTS
     off, adj_w = graph.adj_off, graph.adj_w
     weight = adj_w.__getitem__
     rows: OrderedRows = [None] * graph.n
     for u in range(graph.n):
         lo, hi = off[u], off[u + 1]
-        if hi - lo >= min_edges:
-            order = sorted(range(lo, hi), key=weight)
-            j = 0
-            for _ in range(hops):
-                j = bisect_right(order, adj_w[order[j]], j, key=weight)
-                if j == len(order):
-                    break
-            else:
-                rows[u] = order
+        if hi - lo >= min_edges and (
+            len(set(adj_w[lo : lo + min_weights])) == min_weights
+            or len(set(adj_w[lo:hi])) >= min_weights
+        ):
+            rows[u] = sorted(range(lo, hi), key=weight)
     return rows if any(rows) else []
 
 

@@ -131,6 +131,19 @@ class TestWeightOrderedRows:
         assert keys[:4] == [(1, d - 1), (1, d), (2, d - 2), (2, d + 1)]
         assert len({g.adj_w[i] for i in rows[2]}) == self.K
 
+    def test_distinct_weights_after_a_repeated_start_count(self):
+        # both rows start with a run of one weight; row 0 then holds the
+        # distinct minimum in all, row 1 one weight short of it
+        d, k = self.D, self.K
+        w0 = [d] * (d - k + 1) + list(range(k - 1))
+        w1 = [d] * (d - k + 2) + list(range(k - 2))
+        edges = [(0, v, w) for v, w in enumerate(w0)]
+        edges += [(1, v, w) for v, w in enumerate(w1)]
+        g = build_graph(2, d, edges)
+        rows = weight_ordered_rows(g)
+        assert rows[1] is None
+        assert [g.adj_w[i] for i in rows[0]] == sorted(w0)
+
     def test_no_ordered_row_gives_an_empty_view(self):
         assert weight_ordered_rows(g0()) == []
 
