@@ -22,9 +22,7 @@ from .core import (
 )
 from .errors import InfeasibleInstanceError, IterationLimitError, SolveTimeout
 from .feasibility import feasibility_precheck, is_feasible, maximum_matching_size
-from .gk import check_eps_optimal, goldberg_kennedy, refine, to_flow_instance
 from .hungarian import hungarian
-from .oracle import brute_force_optimum
 from .reduction import (
     BalancedReduction,
     build_reduction,
@@ -37,32 +35,40 @@ from .tracing import TraceEvent, compare_traces, record_trace
 
 __version__ = "0.1.0"
 
-# The generators need numpy; resolve them on first use (PEP 562) so that
-# importing the package, and solving with it, loads only the standard
-# library.
-_GEN_NAMES = frozenset(
-    {
-        "GenSpec",
-        "assign_low_or_high",
-        "assign_uniform_low_high",
-        "assign_uniform_weights",
-        "dispersed_degree",
-        "erdos_renyi",
-        "generate",
-    }
-)
+# Names resolved on first use (PEP 562), by the module that defines them.
+# The generators need numpy, so importing the package, and solving with it,
+# loads only the standard library; gk and the brute-force oracle are loaded
+# only by the runs that use them.  ``hungarian`` and ``solve`` cannot be
+# lazy: each shares its name with its submodule, and importing the submodule
+# would rebind the package attribute to the module.
+_LAZY = {
+    "GenSpec": "gen",
+    "assign_low_or_high": "gen",
+    "assign_uniform_low_high": "gen",
+    "assign_uniform_weights": "gen",
+    "dispersed_degree": "gen",
+    "erdos_renyi": "gen",
+    "generate": "gen",
+    "check_eps_optimal": "gk",
+    "goldberg_kennedy": "gk",
+    "refine": "gk",
+    "to_flow_instance": "gk",
+    "brute_force_optimum": "oracle",
+}
 
 
 def __getattr__(name: str):
-    if name in _GEN_NAMES:
-        from . import gen
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(gen, name)
+        module = import_module(f".{_LAZY[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _GEN_NAMES)
+    return sorted(set(globals()) | _LAZY.keys())
+
 
 __all__ = [
     "BalancedReduction",

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .core import read_instance, write_instance
 from .errors import InfeasibleInstanceError
-from .oracle import MAX_ORACLE_S, brute_force_optimum
 from .scaling import parse_alpha
 from .solve import ALGORITHMS, require_traced, solve
 from .tracing import TraceFileWriter, compare_trace_files
@@ -101,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ``gen`` and ``bench`` import their modules when they run: both need numpy,
 # which ``solve``, ``verify`` and ``trace-diff`` should not pay to load.
+# ``verify`` imports the brute-force oracle the same way, since no other
+# command uses it.
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -141,13 +142,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         except InfeasibleInstanceError:
             print("infeasible")
             return 1
-    for u, v in result.matching.pairs():
-        print(f"{u} {v}")
-    print(f"weight {result.weight}")
+    pairs = "".join([f"{u} {v}\n" for u, v in result.matching.pairs()])
+    sys.stdout.write(f"{pairs}weight {result.weight}\n")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import MAX_ORACLE_S, brute_force_optimum
+
     graph = read_instance(args.infile)
     if graph.s > MAX_ORACLE_S:
         print(

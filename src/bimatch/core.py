@@ -12,10 +12,11 @@ no producer restates them and no caller can set them out of step: a graph's
 ``max_abs_weight`` is computed from ``adj_w`` on first use and cached, and
 a matching's ``size`` is counted from ``match_of_v`` on every read.
 
-Edges from outside the package (callers, instance files) are validated by
-:func:`build_graph`; producers whose rows are valid by construction (the
-generators, the reductions) lay out the adjacency arrays themselves, without
-a validating pass.
+Edges from outside the package are validated by :func:`build_graph`, and
+an instance file's by :func:`read_instance` with the same column checks;
+producers whose rows are valid by construction (the generators, the
+reductions) lay out the adjacency arrays themselves, without a validating
+pass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 from itertools import islice
 from operator import lt
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
 
 Edge = tuple[int, int, int]
 
@@ -132,28 +133,51 @@ def build_graph(n: int, s: int, edges: Iterable[Edge]) -> WeightedBipartiteGraph
     """
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
-    keys: list[int] = []
-    adj_v: list[int] = []
-    adj_w: list[int] = []
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), int(w)
-        if not 0 <= u < n:
-            raise ValueError(f"left index {u} out of range [0, {n})")
-        if not 0 <= v < s:
-            raise ValueError(f"right index {v} out of range [0, {s})")
-        keys.append(u * s + v)
-        adj_v.append(v)
-        adj_w.append(w)
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[int] = []
+    try:
+        for u, v, w in edges:
+            u, v, w = int(u), int(v), int(w)
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    except (TypeError, ValueError):
+        _check_ranges(n, s, us, vs)  # an earlier edge out of range comes first
+        raise
+    return _layout(n, s, us, vs, ws)
+
+
+def _check_ranges(n: int, s: int, us: list[int], vs: list[int]) -> None:
+    """Raise for the first edge whose left, then right, index is out of
+    range; the columns are scanned edge by edge only when one is."""
+    if us and (min(us) < 0 or max(us) >= n or min(vs) < 0 or max(vs) >= s):
+        for u, v in zip(us, vs):
+            if not 0 <= u < n:
+                raise ValueError(f"left index {u} out of range [0, {n})")
+            if not 0 <= v < s:
+                raise ValueError(f"right index {v} out of range [0, {s})")
+
+
+def _layout(
+    n: int, s: int, us: list[int], vs: list[int], ws: list[int]
+) -> WeightedBipartiteGraph:
+    """Validate integer edge columns whole, for sides ``n, s >= 1``, and lay
+    them out as CSR rows: ranges, then the smallest duplicated pair, as
+    :func:`build_graph` states.  Strictly ascending ``(u, v)`` keys are
+    laid out as they come; other input is sorted once."""
+    _check_ranges(n, s, us, vs)
+    keys = [u * s + v for u, v in zip(us, vs)]
     if not all(map(lt, keys, islice(keys, 1, None))):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
         for a, b in zip(keys, islice(keys, 1, None)):
             if a == b:
                 raise ValueError("duplicate edge (%d, %d)" % divmod(a, s))
-        adj_v = [adj_v[i] for i in order]
-        adj_w = [adj_w[i] for i in order]
+        vs = [vs[i] for i in order]
+        ws = [ws[i] for i in order]
     off = [bisect_left(keys, u * s) for u in range(n + 1)]
-    return WeightedBipartiteGraph.from_csr(n, s, off, adj_v, adj_w)
+    return WeightedBipartiteGraph.from_csr(n, s, off, vs, ws)
 
 
 def density(graph: WeightedBipartiteGraph) -> Fraction:
@@ -293,7 +317,9 @@ def check_eps_cs(
 
 
 # Instance text format: line 1 "n s m", then m lines "u v w" (0-based
-# indices, ASCII decimal, LF endings). The interchange format of the CLI.
+# indices, ASCII, LF, CRLF or CR endings; each field a token that ``int()``
+# reads, so "+1", "0_2" and "01" are integers; blank lines may follow the
+# edges). The interchange format of the CLI.
 
 
 def write_instance(graph: WeightedBipartiteGraph, path: str | Path) -> None:
@@ -310,16 +336,38 @@ def write_instance(graph: WeightedBipartiteGraph, path: str | Path) -> None:
                 fh.write((f"{u} %d %d\n" * (hi - lo)) % tuple(flat[2 * lo : 2 * hi]))
 
 
+# Stands for a line break among the body's tokens: no ASCII text holds it,
+# and ``str.split`` keeps it whole.
+_BREAK = "\xa7"
+
+
 def read_instance(path: str | Path) -> WeightedBipartiteGraph:
-    """Parse an instance file.  Faults are reported in file order: a bad
-    header, then the first edge line that is not three integers, then
-    trailing content, then whatever :func:`build_graph` reports first.
-    Every message starts with the path and the file line it is about."""
-    with open(path, "r", encoding="ascii") as fh:
-        # One read; newlines are already translated, so splitting on "\n"
-        # gives the same lines as ``readline`` would.
-        lines = fh.read().split("\n")
-    header = lines[0].split()
+    """Parse an instance file.  A byte that is not ASCII is reported first,
+    wherever it is; other faults in file order: a bad header, then the first
+    edge line that is not three integers, then trailing content, then
+    whatever :func:`build_graph` reports first.  Every message starts with
+    the path and the file line it is about.
+
+    The body is parsed in bulk: one ``split`` over all lines, with each line
+    break turned into a ``_BREAK`` token, a check that breaks sit at every
+    fourth token and that only breaks follow the m-th line, one ``int``
+    pass and the column-wise :func:`_layout`.  Should any of these fail, or
+    a side be below 1, :func:`_raise_fault` walks the file line by line to
+    report the fault.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
+    del data
+    if "\r" in text:  # the newline translation a text-mode read makes
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    header_line, _, body = text.partition("\n")
+    del text
+    header = header_line.split()
     if len(header) != 3:
         raise ValueError(f"{path}, line 1: header must be 'n s m'")
     try:
@@ -330,15 +378,50 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
         raise ValueError(
             f"{path}, line 1: bad header {header!r}: negative edge count"
         )
+    tokens = body.replace("\n", f" {_BREAK} ").split()
+    # m lines of three tokens, each but the last closed by a break
+    end = 4 * m - 1 if m else 0
+    tail = tokens[end:]
+    del tokens[end:]
+    breaks = tokens[3::4]
+    if (
+        len(tokens) == end
+        and breaks.count(_BREAK) == len(breaks)
+        and tail.count(_BREAK) == len(tail)
+        and n >= 1
+        and s >= 1
+    ):
+        # each list is dropped once the next exists: the tokens are the
+        # read's peak memory
+        del tokens[3::4], breaks, tail
+        try:
+            values = list(map(int, tokens))
+            del tokens
+            us, vs, ws = values[0::3], values[1::3], values[2::3]
+            del values
+            return _layout(n, s, us, vs, ws)
+        except ValueError:
+            pass
+    _raise_fault(path, n, s, m, body)
+
+
+def _raise_fault(path: str | Path, n: int, s: int, m: int, body: str) -> NoReturn:
+    """Report the first fault in an instance file's body, walking it line
+    by line; called only once the bulk parse has failed, so it always
+    raises.  The order: the first of the m edge lines that is not three
+    integers, then content after them, then :func:`build_graph`'s first
+    fault, at the line it is about: line 1 for the sides, the edge's line
+    for an index out of range, the second line of the smallest duplicated
+    pair."""
+    lines = body.split("\n")
     edges: list[Edge] = []
-    add_edge = edges.append
-    for line in lines[1 : m + 1]:
+    for line in lines[:m]:
         parts = line.split()
         if len(parts) != 3:
             break
         u, v, w = parts
         try:
-            add_edge((int(u), int(v), int(w)))
+            edges.append((int(u), int(v), int(w)))
         except ValueError:
             # edge k (from 0) sits on file line k + 2
             raise ValueError(
@@ -347,31 +430,28 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
     if len(edges) < m:
         k = len(edges)
         raise ValueError(f"{path}, line {k + 2}: edge line {k + 1} must be 'u v w'")
-    for lineno, line in enumerate(lines[m + 1 :], m + 2):
+    for lineno, line in enumerate(lines[m:], m + 2):
         if line.strip():
             raise ValueError(
                 f"{path}, line {lineno}: trailing content after the declared edges"
             )
     try:
-        return build_graph(n, s, edges)
+        build_graph(n, s, edges)
     except ValueError as exc:
-        raise ValueError(f"{path}, line {_fault_line(n, s, edges)}: {exc}") from None
-
-
-def _fault_line(n: int, s: int, edges: list[Edge]) -> int:
-    """File line of the fault :func:`build_graph` reports for an instance
-    file's edges, found by following its contract: the header's shape,
-    then the first edge out of range, then the second occurrence of the
-    smallest duplicated pair."""
-    if n < 1 or s < 1:
-        return 1
-    for k, (u, v, _) in enumerate(edges):
-        if not (0 <= u < n and 0 <= v < s):
-            return k + 2
-    seen: set[tuple[int, int]] = set()
-    repeats: dict[tuple[int, int], int] = {}
-    for k, (u, v, _) in enumerate(edges):
-        if (u, v) in seen:
-            repeats.setdefault((u, v), k)
-        seen.add((u, v))
-    return repeats[min(repeats)] + 2
+        fault = exc
+    else:
+        raise AssertionError(f"{path}: the line walk found no fault")
+    at = 1  # the sides, from the header
+    if n >= 1 and s >= 1:
+        seen: set[tuple[int, int]] = set()
+        repeats: dict[tuple[int, int], int] = {}
+        for k, (u, v, _) in enumerate(edges):
+            if not (0 <= u < n and 0 <= v < s):
+                at = k + 2
+                break
+            if (u, v) in seen:
+                repeats.setdefault((u, v), k)
+            seen.add((u, v))
+        else:
+            at = repeats[min(repeats)] + 2
+    raise ValueError(f"{path}, line {at}: {fault}")

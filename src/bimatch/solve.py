@@ -8,7 +8,6 @@ from typing import Optional
 
 from .auction import eps_scaling_auction
 from .core import Matching, WeightedBipartiteGraph, matching_weight, validate_matching
-from .gk import goldberg_kennedy
 from .hungarian import hungarian
 from .scaling import DEFAULT_ALPHA
 from .tracing import TraceSink
@@ -58,6 +57,8 @@ def solve(
             precheck=precheck,
         )
     elif algorithm == "gk":
+        from .gk import goldberg_kennedy  # loaded only by the runs that use it
+
         matching = goldberg_kennedy(
             graph,
             alpha=alpha,

@@ -166,6 +166,30 @@ class TestSolve:
             f"{path}, line 5: trailing content after the declared edges"
         )
 
+    @pytest.mark.parametrize(
+        "data, line, position",
+        [
+            (b"2 2 2\n0 0 1\n1 1 \xc3\xa9\n", 3, 16),
+            (b"2 \xff2 1\n0 0 1\n", 1, 2),
+            (b"2 2 1\r\n0 0 1\r\n\r\n\x80\n", 4, 16),
+            # reported before the bad header on line 1
+            (b"2 x 1\n0 0 1\n\x7f\x80", 3, 13),
+        ],
+    )
+    def test_non_ascii_byte_exits_2_naming_the_path_and_line(
+        self, tmp_path, capsys, data, line, position
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        assert main(["solve", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"error: {path}, line {line}: 'ascii' codec can't decode byte "
+            f"{data[position]:#x} in position {position}: ordinal not in "
+            "range(128)\n",
+        )
+
     def test_bad_alpha_exits_2(self, tmp_path, capsys):
         rc = main(
             ["solve", "--alpha", "1", "--in", str(write_g0(tmp_path))]

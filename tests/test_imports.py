@@ -75,3 +75,42 @@ def test_unknown_attribute_is_still_an_attribute_error():
         "    print(exc)\n"
     )
     assert "no_such_name" in run_python(code)
+
+
+def test_solve_loads_neither_gk_nor_the_oracle(tmp_path):
+    inst = tmp_path / "g.txt"
+    inst.write_text("2 2 4\n0 0 1\n0 1 3\n1 0 2\n1 1 1\n")
+    code = (
+        "import sys\n"
+        "from bimatch.cli import main\n"
+        f"codes = [main(['solve', '--in', {str(inst)!r}]),\n"
+        f"    main(['solve', '--algo', 'hungarian', '--in', {str(inst)!r}])]\n"
+        "print(codes, [m for m in ('bimatch.gk', 'bimatch.oracle')"
+        " if m in sys.modules])\n"
+    )
+    assert run_python(code).splitlines()[-1] == "[0, 0] []"
+
+
+def test_lazy_names_are_the_objects_their_modules_define():
+    code = (
+        "import importlib, bimatch\n"
+        "wrong = [name for name, module in bimatch._LAZY.items()\n"
+        "    if getattr(bimatch, name) is not getattr(\n"
+        "        importlib.import_module('bimatch.' + module), name)]\n"
+        "unlisted = sorted(set(bimatch._LAZY) - set(dir(bimatch)))\n"
+        "print(len(bimatch._LAZY), wrong, unlisted)\n"
+    )
+    assert run_python(code) == "12 [] []"
+
+
+def test_solve_and_hungarian_stay_functions_after_each_solver_runs():
+    code = (
+        "import bimatch\n"
+        "from bimatch import build_graph, hungarian, solve\n"
+        "g = build_graph(2, 2, [(0, 0, 1), (0, 1, 3), (1, 0, 2), (1, 1, 1)])\n"
+        "weights = [bimatch.solve(g, a).weight"
+        " for a in ('auction', 'gk', 'hungarian')]\n"
+        "print(weights, bimatch.solve is solve, bimatch.hungarian is hungarian,"
+        " callable(bimatch.solve), callable(bimatch.hungarian))\n"
+    )
+    assert run_python(code) == "[2, 2, 2] True True True True"
