@@ -82,6 +82,7 @@ from .feasibility import feasibility_precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
+    CandidateCache,
     OrderedRows,
     check_persons_have_edges,
     check_step,
@@ -109,11 +110,6 @@ class PhaseSnapshot:
 
 PhaseCallback = Callable[[PhaseSnapshot], None]
 
-# Per person: (lower position, higher position, third-smallest reduced cost)
-# of its last full scan, or None.
-BidCache = list[Optional[tuple[int, int, float]]]
-
-
 def auction_phase(
     graph: WeightedBipartiteGraph,
     eps: int,
@@ -122,7 +118,7 @@ def auction_phase(
     phase_index: int = 0,
     trace_sink: Optional[TraceSink] = None,
     deadline: Optional[float] = None,
-    cache: Optional[BidCache] = None,
+    cache: Optional[CandidateCache] = None,
     view: Optional[OrderedRows] = None,
 ) -> tuple[Matching, PriceVector]:
     """One bidding phase on a balanced graph; mutates ``prices`` in place
@@ -294,7 +290,7 @@ def eps_scaling_auction(
     view = weight_ordered_rows(scaled)
     check_deadline(deadline, "weight-ordered rows")
     prices: PriceVector = [0] * scaled.s
-    cache: BidCache = [None] * scaled.n
+    cache: CandidateCache = [None] * scaled.n
     matching: Optional[Matching] = None
     for phase_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
         matching, prices = auction_phase(

@@ -9,73 +9,37 @@ old owner, and drop the object's price to ``p(u) + w(uv) - eps``.  The
 driver shrinks ``eps`` exactly like the bidding solver and shares its step
 ordering, which is what makes the two solvers' traces comparable.
 
-A round keeps one record of its pseudoflow: ``owner_arc[v]``, the arc whose
-unit object ``v`` holds (``-1`` while ``v`` holds none).  A person is active
-exactly while it waits in the queue, so no excess is stored; the 0/1 arc
-flow is built from ``owner_arc`` once, when the round ends.
+A round keeps its pseudoflow and its object prices in three lists:
+``owner[v]``, the person whose unit object ``v`` holds, ``owner_arc[v]``,
+the arc that carries that unit (``None`` and ``-1`` while ``v`` holds
+none), and ``objects[v]``, the price of object ``v``.  A person is active
+exactly while it waits in the queue, so no excess is stored.  When the
+round returns it builds the 0/1 arc flow from ``owner_arc`` and writes
+``objects`` into ``prices[n:]``; a round that raises leaves the object
+prices of ``prices`` as they came in.
 
 Every double push re-derives the object price update in the bidding form
 (old price minus gap minus eps) and demands bit-for-bit agreement, so a
 completed run certifies the correspondence, not just the result.
 
-Most double pushes skip the neighborhood scan.  The loop keeps a candidate
-cache, one entry per person: the arcs of the two smallest partial reduced
-costs ``w(uv) - p(v)`` at that person's last full scan and the
-third-smallest value of that scan (``inf`` for a degree-2 person).  A
-double push first recomputes the two cached costs; if both lie strictly
-below the stored third, they are the two smallest, the lower arc winning a
-tie, and the scan is skipped.  Otherwise it scans in full and stores a new
-entry only when its third exceeds its second: with third == second the
-entry could never hit.
-
-This is exact because every object price update is ``old - gamma - eps``
-with ``gamma >= 0`` and ``eps >= 1`` (the correspondence guard enforces
-that form on every push) and the driver carries prices across refines
-unchanged.  So object prices only fall during a solve, every partial
-reduced cost only rises, and a stored third stays a lower bound on every
-uncached cost of its person.  The driver creates the cache once per solve
-and hands it to every refine; a refine called without one makes a fresh
-one, so a direct caller with arbitrary prices gets the plain scan's result.
-
-A full scan of a long row usually needs only its lightest arcs.  Each solve
-builds :func:`~bimatch.scaling.weight_ordered_rows` once, after scaling:
-each row with at least ``ORDERED_ROW_MIN_EDGES`` (40) arcs and
-``ORDERED_ROW_MIN_WEIGHTS`` (3) distinct weights, its arcs sorted by
-``(w, v)``.  A full scan of such a row walks that order and stops at the
-first arc with ``w > third + top``, where ``top`` is the highest object
-price at the time of the scan.
-
-- The ceiling: the round keeps ``top`` and the number of objects priced at
-  it.  A double push that lowers the last of them takes ``top`` afresh
-  from ``max`` over the object prices.  Object prices only fall, so
-  ``top`` is never below a live price: it changes only through that fresh
-  maximum.  A wrong count could only bring the refresh early or late;
-  late leaves ``top`` too high, which reads more but stays exact.  With
-  no ordered row the round keeps no ceiling.
-- Exact: no object price exceeds ``top``, so every unread arc costs
-  ``w' - p(v') >= w' - top >= w - top > third``.  It can neither enter
-  the three smallest values nor tie the smallest, so best, second and
-  third are those of the whole row.
-- Ties: the plain scan sends a tie at the minimum to the lowest arc.
-  Equal weights are read in ascending arc order anyway, but equal costs
-  may come from different weights in either order.  So an arc that ties
-  the best with a lower index takes its place explicitly: it becomes the
-  best, and the old best becomes the runner-up.  A cache entry keeps the
-  lower arc first, as after a plain scan, so the hit path is unchanged.
-- The gate: ordering pays on rows of about 30 or more arcs with three or
-  more distinct weights, and does not pay with two.  40 arcs keeps every
-  row of the short-row benchmark workload on the plain scan, and
-  two-point rows always stay plain; the measurements are at
-  ``ORDERED_ROW_MIN_EDGES``.
-
-Scans and cache checks read object prices through ``head_of_arc``, the
-node id ``n + v`` of each arc, so no cost lookup adds ``n``.  A refine
-called without a view builds its own, so a direct call takes the same
-path as a solve.
+A double push finds the two smallest partial reduced costs
+``w(uv) - p(v)`` of its person as a bid of :mod:`bimatch.auction` finds
+its two smallest reduced costs, with arcs in place of adjacency positions
+(arc ``a`` is position ``a``): the same candidate cache, created once per
+solve and afresh by a direct call; the same weight-ordered rows of
+:func:`~bimatch.scaling.weight_ordered_rows`, whose full scans stop at
+the first arc with ``w > third + top``; and the same price ceiling
+``top`` over the object prices.  The auction's module docstring argues
+that each is exact.  The argument holds here because the correspondence
+guard enforces the bidding form ``old - gamma - eps`` on every push, so
+object prices only fall.  The two scans stay separate code on purpose:
+equal traces are the check.  A refine called without a view builds its
+own, so a direct call takes the same path as a solve.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,6 +53,7 @@ from .feasibility import feasibility_precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
+    CandidateCache,
     OrderedRows,
     check_persons_have_edges,
     check_step,
@@ -108,13 +73,12 @@ class FlowInstance:
 
     Node ``x < n`` is person ``x`` (supply +1); node ``n + v`` is object
     ``v`` (supply -1).  Arc ``a`` is adjacency position ``a`` of the graph,
-    running from node ``tail_of_arc[a]`` to node ``head_of_arc[a]`` with
-    capacity 1 and cost ``adj_w[a]``.
+    running from the person whose row holds it to node ``n + adj_v[a]``
+    with capacity 1 and cost ``adj_w[a]``.  No per-arc field is stored:
+    an arc's tail is ``bisect_right(adj_off, a) - 1``.
     """
 
     graph: WeightedBipartiteGraph
-    tail_of_arc: tuple[int, ...]
-    head_of_arc: tuple[int, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -130,13 +94,7 @@ def to_flow_instance(graph: WeightedBipartiteGraph) -> FlowInstance:
         raise ValueError(
             f"flow form needs a balanced graph, got n={graph.n}, s={graph.s}"
         )
-    # one int object per node id, shared by every arc that ends there
-    nodes = list(range(graph.n + graph.s))
-    tails = []
-    for u in range(graph.n):
-        tails.extend([nodes[u]] * graph.degree(u))
-    heads = map(nodes[graph.n :].__getitem__, graph.adj_v)
-    return FlowInstance(graph, tuple(tails), tuple(heads))
+    return FlowInstance(graph)
 
 
 def residual_conditions(
@@ -149,11 +107,11 @@ def residual_conditions(
     forward residual arc has nonnegative reduced cost.
     """
     g = fi.graph
-    n = g.n
+    n, off = g.n, g.adj_off
     cond_rev = True
     cond_fwd = True
     for a in range(fi.n_arcs):
-        u = fi.tail_of_arc[a]
+        u = bisect_right(off, a) - 1
         v = g.adj_v[a]
         w = g.adj_w[a]
         if flow[a]:
@@ -183,9 +141,9 @@ def flow_to_matching(fi: FlowInstance, flow: list[int]) -> Matching:
     """
     g = fi.graph
     matching = Matching(g.n, g.s)
-    tail, adj_v = fi.tail_of_arc, g.adj_v
+    off, adj_v = g.adj_off, g.adj_v
     for a in compress(range(len(flow)), flow):
-        matching.assign(tail[a], adj_v[a])
+        matching.assign(bisect_right(off, a) - 1, adj_v[a])
     if matching.size != g.s:
         raise ValueError("pseudoflow still has active or deficient nodes")
     return matching
@@ -205,10 +163,6 @@ class RefineSnapshot:
 
 RefineCallback = Callable[[RefineSnapshot], None]
 
-# Per person: (lower arc, higher arc, third-smallest partial reduced cost) of
-# its last full scan, or None.
-PushCache = list[Optional[tuple[int, int, float]]]
-
 
 def refine(
     fi: FlowInstance,
@@ -219,19 +173,21 @@ def refine(
     trace_sink: Optional[TraceSink] = None,
     deadline: Optional[float] = None,
     check_identities: bool = False,
-    cache: Optional[PushCache] = None,
+    cache: Optional[CandidateCache] = None,
     view: Optional[OrderedRows] = None,
 ) -> tuple[list[int], list[int]]:
     """One refine round; mutates ``prices`` (length ``n + s``) in place and
     returns ``(flow, prices)``.
 
     Incoming person prices are ignored; they are output only.  The round
-    tracks only ``owner_arc`` and on exit builds from it ``flow``, the 0/1
-    value of each arc, which then carries a perfect matching.  With
-    ``check_identities`` every double push additionally rescans the person's
-    neighborhood and verifies the relabel landed exactly on minus the
-    smallest partial reduced cost (offset by ``eps`` for single-edge
-    neighborhoods, whose runner-up is synthetic).  ``cache`` is the solve's
+    keeps the object prices in a list of its own and writes them into
+    ``prices[n:]`` when it returns, not when it raises.  It tracks each
+    object's owner and ``owner_arc``, and on exit builds from the latter
+    ``flow``, the 0/1 value of each arc, which then carries a perfect
+    matching.  With ``check_identities`` every double push additionally
+    rescans the person's neighborhood and verifies the relabel landed
+    exactly on minus the smallest partial reduced cost (offset by ``eps``
+    for single-edge neighborhoods, whose runner-up is synthetic).  ``cache`` is the solve's
     candidate cache (see the module docstring); it is valid only while
     object prices have done nothing but fall since it was filled, so leave
     it out unless the prices come from the refine that last used it.
@@ -243,11 +199,11 @@ def refine(
     if eps < 1:
         raise ValueError(f"eps must be a positive integer, got {eps}")
     off, adj_v, adj_w = g.adj_off, g.adj_v, g.adj_w
-    head, tail = fi.head_of_arc, fi.tail_of_arc
     sentinel_gap = second_cost_sentinel_gap(g.max_abs_weight)
     check_persons_have_edges(g)
 
     # No per-round person price reset: first double pushes overwrite it unread.
+    owner: list[Optional[int]] = [None] * s
     owner_arc = [-1] * s
     if cache is None:
         cache = [None] * n
@@ -273,8 +229,8 @@ def refine(
         entry = cache[u]
         if entry is not None:
             a1, a2, third = entry
-            rc1 = adj_w[a1] - prices[head[a1]]
-            rc2 = adj_w[a2] - prices[head[a2]]
+            rc1 = adj_w[a1] - objects[adj_v[a1]]
+            rc2 = adj_w[a2] - objects[adj_v[a2]]
             if rc1 >= third or rc2 >= third:
                 entry = None
         if entry is not None:
@@ -294,7 +250,7 @@ def refine(
                         # every arc from here on costs w' - p(v') >=
                         # w - top > third: best, second and third are final
                         break
-                    rc = w - prices[head[a]]
+                    rc = w - objects[adj_v[a]]
                     if rc <= third:
                         if rc < second_rc:
                             third = second_rc
@@ -313,11 +269,11 @@ def refine(
                         limit = third + top
             else:
                 best_arc = off[u]
-                best_rc = adj_w[best_arc] - prices[head[best_arc]]
+                best_rc = adj_w[best_arc] - objects[adj_v[best_arc]]
                 second_rc = third = inf
                 second_arc = -1
                 for a in range(best_arc + 1, off[u + 1]):
-                    rc = adj_w[a] - prices[head[a]]
+                    rc = adj_w[a] - objects[adj_v[a]]
                     if rc < third:
                         if rc < second_rc:
                             third = second_rc
@@ -339,15 +295,13 @@ def refine(
             else:
                 cache[u] = None
         v = adj_v[best_arc]
-        node_v = head[best_arc]
 
         price_u = prices[u] = -second_rc
-        old_price_v = prices[node_v]
-        prev_arc = owner_arc[v]
-        displaced: Optional[int] = None
-        if prev_arc >= 0:
-            displaced = tail[prev_arc]
+        old_price_v = objects[v]
+        displaced = owner[v]
+        if displaced is not None:
             push(displaced)
+        owner[v] = u
         owner_arc[v] = best_arc
         new_price_v = price_u + adj_w[best_arc] - eps
 
@@ -359,18 +313,17 @@ def refine(
                 f"price update mismatch at u={u}, v={v}: "
                 f"{new_price_v} != {old_price_v} - {gamma} - {eps}"
             )
-        prices[node_v] = new_price_v
+        objects[v] = new_price_v
         if ordered and old_price_v == top:
             at_top -= 1
             if not at_top:
-                objects = prices[n:]
                 top = max(objects)
                 at_top = objects.count(top)
 
         if check_identities:
             lo, hi = off[u], off[u + 1]
             rescan = min(
-                adj_w[a] - prices[n + adj_v[a]] for a in range(lo, hi)
+                adj_w[a] - objects[adj_v[a]] for a in range(lo, hi)
             )
             expected = -rescan if hi - lo > 1 else -(rescan - eps)
             if prices[u] != expected:
@@ -394,6 +347,7 @@ def refine(
                 )
             )
         step += 1
+    prices[n:] = objects
     flow = [0] * fi.n_arcs
     for a in owner_arc:
         if a >= 0:
@@ -427,7 +381,7 @@ def goldberg_kennedy(
     view = weight_ordered_rows(scaled)
     check_deadline(deadline, "weight-ordered rows")
     prices = [0] * fi.n_nodes
-    cache: PushCache = [None] * fi.graph.n
+    cache: CandidateCache = [None] * fi.graph.n
     flow: list[int] = []
     for refine_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
         flow, prices = refine(

@@ -52,6 +52,11 @@ ORDERED_ROW_MIN_WEIGHTS = 3
 # for a row read in position order.  Empty when no row is ordered.
 OrderedRows = list[Optional[list[int]]]
 
+# Per person: (lower position, higher position, third-smallest reduced cost)
+# of its last full scan, or None.  The candidate cache of both bid loops;
+# gk's positions are its arcs.
+CandidateCache = list[Optional[tuple[int, int, float]]]
+
 
 def weight_ordered_rows(graph: WeightedBipartiteGraph) -> OrderedRows:
     """The weight-ordered view of ``graph``'s rows that both bid loops read.

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from bimatch.auction import auction_phase
 from bimatch.core import build_graph, matching_weight, validate_matching
 from bimatch.errors import (
     InfeasibleInstanceError,
@@ -24,26 +25,18 @@ from bimatch.gk import (
     to_flow_instance,
 )
 from bimatch.oracle import brute_force_optimum
+from bimatch.reduction import build_reduction
 from bimatch.scaling import scale_graph
 
 from conftest import g0, random_feasible_graphs
+from test_bid_cache import instances
 
 
 class TestFlowInstance:
     def test_reference_instance_layout(self):
         fi = to_flow_instance(g0())
         assert fi.n_arcs == 4
-        assert fi.tail_of_arc == (0, 0, 1, 1)
-        assert fi.head_of_arc == (2, 3, 2, 3)
         assert fi.n_nodes == 4
-
-    def test_heads_share_one_int_per_node(self):
-        edges = [(u, v, u + v) for u in range(3) for v in range(3)]
-        g = scale_graph(build_graph(3, 3, edges))
-        fi = to_flow_instance(g)
-        assert fi.head_of_arc == tuple(3 + v for v in g.adj_v)
-        for a, b in zip(fi.head_of_arc, fi.head_of_arc[3:]):
-            assert a is b
 
     def test_rejects_unbalanced(self):
         with pytest.raises(ValueError, match="balanced"):
@@ -92,6 +85,69 @@ class TestFlowToMatching:
         fi = to_flow_instance(g0())
         assert flow_to_matching(fi, [1, 0, 0, 1]).pairs() == [(0, 0), (1, 1)]
         assert flow_to_matching(fi, [0, 1, 1, 0]).pairs() == [(1, 0), (0, 1)]
+
+
+def graph_of_rows(s, rows):
+    """The graph whose person ``u`` has the ``(v, w)`` edges ``rows[u]``."""
+    return build_graph(
+        len(rows), s, [(u, v, w) for u, row in enumerate(rows) for v, w in row]
+    )
+
+
+class TestArcTails:
+    """An arc's tail is read off the row offsets.  Empty rows repeat an
+    offset, which is where that lookup could pick the wrong row."""
+
+    # leading, middle and trailing empty rows; arc 0 and arc m - 1 next to
+    # empty rows
+    ROWS = [
+        [[], [(0, 4), (2, 1)], [], [], [(1, 2), (3, 6), (4, 3)]],
+        [[(0, 3)], [], [], [(1, 5), (2, 2), (3, 1)]],
+        [[(0, 3), (1, 1)], [(2, 2)], [], []],
+        [[], [(0, 7)], [], [(1, 1)], [], [(2, 5), (5, 2)], []],
+    ]
+
+    def test_residual_conditions_read_each_arcs_own_tail(self):
+        # Flow on arc a alone, and only a's tail priced at eps + 1: the
+        # reversed condition fails at a, and only with the right tail,
+        # since every other person price is 0 and every weight is at most
+        # eps.  No forward arc can fail.
+        for rows in self.ROWS:
+            g = graph_of_rows(len(rows), rows)
+            fi = to_flow_instance(g)
+            eps = g.max_abs_weight
+            for u in range(g.n):
+                for a in range(g.adj_off[u], g.adj_off[u + 1]):
+                    flow = [0] * g.m
+                    flow[a] = 1
+                    prices = [0] * fi.n_nodes
+                    prices[u] = eps + 1
+                    assert residual_conditions(fi, flow, prices, eps) == (
+                        False,
+                        True,
+                    ), (rows, a)
+
+    def test_flow_to_matching_across_empty_rows(self):
+        # A balanced graph with an empty row carries no flow that covers
+        # every object, so this is the flow view of a graph with more
+        # persons than objects, built directly.  Arcs: 0 = (1, 0),
+        # 1 = (1, 2), 2 = (3, 1), 3 = (5, 0), 4 = (5, 2).
+        g = graph_of_rows(
+            3, [[], [(0, 1), (2, 1)], [], [(1, 1)], [], [(0, 1), (2, 1)], []]
+        )
+        fi = FlowInstance(g)
+        assert flow_to_matching(fi, [1, 0, 1, 0, 1]).pairs() == [
+            (1, 0),
+            (3, 1),
+            (5, 2),
+        ]
+        assert flow_to_matching(fi, [0, 1, 1, 1, 0]).pairs() == [
+            (5, 0),
+            (3, 1),
+            (1, 2),
+        ]
+        with pytest.raises(ValueError, match="matched"):
+            flow_to_matching(fi, [1, 1, 1, 0, 0])  # person 1 sends two units
 
 
 class TestRefine:
@@ -151,6 +207,14 @@ class TestRefine:
         with pytest.raises(InfeasibleInstanceError, match="no edges"):
             refine(fi, 1, [0] * fi.n_nodes)
 
+    def test_a_round_that_raises_leaves_the_object_prices(self):
+        # both persons reach only object 0, so the round hits its step cap
+        fi = to_flow_instance(build_graph(2, 2, [(0, 0, 1), (1, 0, 2)]))
+        prices = [0, 0, 5, 7]
+        with pytest.raises(IterationLimitError):
+            refine(fi, 1, prices)
+        assert prices[2:] == [5, 7]
+
     def test_incoming_person_prices_are_ignored(self):
         # Only object prices steer a round, so arbitrary person prices on
         # entry must change nothing: not the flow, prices or events.
@@ -175,6 +239,26 @@ class TestRefine:
                 runs.append((flow, prices, events))
             assert runs[0] == runs[1]
             assert len(runs[0][2]) >= g.n
+
+
+class TestDirectRefineCalls:
+    """Direct refine calls on the candidate-cache test families, from
+    arbitrary object prices."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prices_match_the_auction_phase(self, seed):
+        rng = random.Random(7315 + seed)
+        for label, g in instances(seed, 27):
+            scaled = scale_graph(build_reduction(g).graph)
+            fi = to_flow_instance(scaled)
+            objects = [rng.randint(-100, 100) for _ in range(scaled.s)]
+            for eps in (1, 2, 7):
+                given = [0] * scaled.n + objects
+                flow, prices = refine(fi, eps, given)
+                assert prices is given, label
+                _, auction_prices = auction_phase(scaled, eps, list(objects))
+                assert prices[scaled.n :] == auction_prices, label
+                assert check_eps_optimal(fi, flow, prices, eps), label
 
 
 class TestDriver:
