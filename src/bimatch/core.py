@@ -125,14 +125,18 @@ def build_graph(n: int, s: int, edges: Iterable[Edge]) -> WeightedBipartiteGraph
     3. Only when every edge is in range are duplicate pairs looked for; the
        one reported is the smallest duplicated ``(u, v)``.
 
+    A range or duplicate fault is raised with the input position of the
+    edge it names, the duplicated pair's second occurrence, so that
+    :func:`read_instance` reports its file line without a second search.
+    The reader applies the side rule of step 1 after its own token checks.
+
     Input already in strictly ascending ``(u, v)`` order, as every producer
     in this package emits it, is laid out as it comes; other input is
     sorted once.  Empty neighborhoods are legal here; whether every right
     vertex can be covered is a separate question (see
     :mod:`bimatch.feasibility`).
     """
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
+    _check_sides(n, s)
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
@@ -148,15 +152,29 @@ def build_graph(n: int, s: int, edges: Iterable[Edge]) -> WeightedBipartiteGraph
     return _layout(n, s, us, vs, ws)
 
 
+class _EdgeFault(ValueError):
+    """A fault of one edge: ``edge`` is its index in input order."""
+
+    def __init__(self, message: str, edge: int):
+        super().__init__(message)
+        self.edge = edge
+
+
+def _check_sides(n: int, s: int) -> None:
+    if n < 1 or s < 1:
+        raise ValueError("need n >= 1 and s >= 1")
+
+
 def _check_ranges(n: int, s: int, us: list[int], vs: list[int]) -> None:
-    """Raise for the first edge whose left, then right, index is out of
-    range; the columns are scanned edge by edge only when one is."""
+    """Raise an :class:`_EdgeFault` for the first edge whose left, then
+    right, index is out of range; the columns are scanned edge by edge
+    only when one is."""
     if us and (min(us) < 0 or max(us) >= n or min(vs) < 0 or max(vs) >= s):
-        for u, v in zip(us, vs):
+        for k, (u, v) in enumerate(zip(us, vs)):
             if not 0 <= u < n:
-                raise ValueError(f"left index {u} out of range [0, {n})")
+                raise _EdgeFault(f"left index {u} out of range [0, {n})", k)
             if not 0 <= v < s:
-                raise ValueError(f"right index {v} out of range [0, {s})")
+                raise _EdgeFault(f"right index {v} out of range [0, {s})", k)
 
 
 def _layout(
@@ -164,16 +182,18 @@ def _layout(
 ) -> WeightedBipartiteGraph:
     """Validate integer edge columns whole, for sides ``n, s >= 1``, and lay
     them out as CSR rows: ranges, then the smallest duplicated pair, as
-    :func:`build_graph` states.  Strictly ascending ``(u, v)`` keys are
-    laid out as they come; other input is sorted once."""
+    :func:`build_graph` states.  Each fault is an :class:`_EdgeFault`; a
+    duplicate's edge is the second occurrence of its pair.  Strictly
+    ascending ``(u, v)`` keys are laid out as they come; other input is
+    sorted once, stably, so equal keys keep their input order."""
     _check_ranges(n, s, us, vs)
     keys = [u * s + v for u, v in zip(us, vs)]
     if not all(map(lt, keys, islice(keys, 1, None))):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
-        for a, b in zip(keys, islice(keys, 1, None)):
+        for k, (a, b) in enumerate(zip(keys, islice(keys, 1, None)), 1):
             if a == b:
-                raise ValueError("duplicate edge (%d, %d)" % divmod(a, s))
+                raise _EdgeFault("duplicate edge (%d, %d)" % divmod(a, s), order[k])
         vs = [vs[i] for i in order]
         ws = [ws[i] for i in order]
     off = [bisect_left(keys, u * s) for u in range(n + 1)]
@@ -350,10 +370,11 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
 
     The body is parsed in bulk: one ``split`` over all lines, with each line
     break turned into a ``_BREAK`` token, a check that breaks sit at every
-    fourth token and that only breaks follow the m-th line, one ``int``
-    pass and the column-wise :func:`_layout`.  Should any of these fail, or
-    a side be below 1, :func:`_raise_fault` walks the file line by line to
-    report the fault.
+    fourth token and that only breaks follow the m-th line, and one ``int``
+    pass.  Should either fail, :func:`_raise_fault` walks the file line by
+    line to report the token fault.  Then come :func:`build_graph`'s checks
+    on the columns, each fault reported at the line it is about: the sides
+    at line 1, and the edge that :func:`_layout` names at its own line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -385,73 +406,49 @@ def read_instance(path: str | Path) -> WeightedBipartiteGraph:
     del tokens[end:]
     breaks = tokens[3::4]
     if (
-        len(tokens) == end
-        and breaks.count(_BREAK) == len(breaks)
-        and tail.count(_BREAK) == len(tail)
-        and n >= 1
-        and s >= 1
+        len(tokens) != end
+        or breaks.count(_BREAK) != len(breaks)
+        or tail.count(_BREAK) != len(tail)
     ):
-        # each list is dropped once the next exists: the tokens are the
-        # read's peak memory
-        del tokens[3::4], breaks, tail
-        try:
-            values = list(map(int, tokens))
-            del tokens
-            us, vs, ws = values[0::3], values[1::3], values[2::3]
-            del values
-            return _layout(n, s, us, vs, ws)
-        except ValueError:
-            pass
-    _raise_fault(path, n, s, m, body)
+        _raise_fault(path, m, body)
+    # each list is dropped once the next exists: the tokens are the read's
+    # peak memory
+    del tokens[3::4], breaks, tail
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        _raise_fault(path, m, body)
+    del tokens
+    us, vs, ws = values[0::3], values[1::3], values[2::3]
+    del values
+    try:
+        _check_sides(n, s)
+        return _layout(n, s, us, vs, ws)
+    except ValueError as exc:
+        # edge k sits on file line k + 2; the sides are on the header's
+        line = exc.edge + 2 if isinstance(exc, _EdgeFault) else 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
 
 
-def _raise_fault(path: str | Path, n: int, s: int, m: int, body: str) -> NoReturn:
-    """Report the first fault in an instance file's body, walking it line
-    by line; called only once the bulk parse has failed, so it always
+def _raise_fault(path: str | Path, m: int, body: str) -> NoReturn:
+    """Report the first token fault in an instance file's body, walking it
+    line by line; called only once the bulk parse has failed, so it always
     raises.  The order: the first of the m edge lines that is not three
-    integers, then content after them, then :func:`build_graph`'s first
-    fault, at the line it is about: line 1 for the sides, the edge's line
-    for an index out of range, the second line of the smallest duplicated
-    pair."""
+    integers, a missing line counting as empty, then content after them."""
     lines = body.split("\n")
-    edges: list[Edge] = []
-    for line in lines[:m]:
-        parts = line.split()
+    # edge k sits on file line k + 2; a missing line reads as empty, so the
+    # walk ends there at the latest, whatever m the header declares
+    for k in range(m):
+        parts = lines[k].split() if k < len(lines) else []
         if len(parts) != 3:
-            break
-        u, v, w = parts
+            raise ValueError(f"{path}, line {k + 2}: edge line {k + 1} must be 'u v w'")
         try:
-            edges.append((int(u), int(v), int(w)))
+            list(map(int, parts))
         except ValueError:
-            # edge k (from 0) sits on file line k + 2
-            raise ValueError(
-                f"{path}, line {len(edges) + 2}: bad edge line {parts!r}"
-            ) from None
-    if len(edges) < m:
-        k = len(edges)
-        raise ValueError(f"{path}, line {k + 2}: edge line {k + 1} must be 'u v w'")
+            raise ValueError(f"{path}, line {k + 2}: bad edge line {parts!r}") from None
     for lineno, line in enumerate(lines[m:], m + 2):
         if line.strip():
             raise ValueError(
                 f"{path}, line {lineno}: trailing content after the declared edges"
             )
-    try:
-        build_graph(n, s, edges)
-    except ValueError as exc:
-        fault = exc
-    else:
-        raise AssertionError(f"{path}: the line walk found no fault")
-    at = 1  # the sides, from the header
-    if n >= 1 and s >= 1:
-        seen: set[tuple[int, int]] = set()
-        repeats: dict[tuple[int, int], int] = {}
-        for k, (u, v, _) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < s):
-                at = k + 2
-                break
-            if (u, v) in seen:
-                repeats.setdefault((u, v), k)
-            seen.add((u, v))
-        else:
-            at = repeats[min(repeats)] + 2
-    raise ValueError(f"{path}, line {at}: {fault}")
+    raise AssertionError(f"{path}: the line walk found no fault")

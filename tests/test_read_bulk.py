@@ -11,6 +11,7 @@ must raise the same ``ValueError`` text.
 from __future__ import annotations
 
 import random
+import time
 from itertools import accumulate
 
 import pytest
@@ -340,3 +341,62 @@ def test_injected_faults_give_the_reference_message(tmp_path, kind):
     # a later fault can repair an earlier one (a trailing edge line counted
     # in by a raised edge count), but rarely
     assert errors >= 140
+
+
+GRAPH_FAULTS = ("sides", "left_range", "right_range", "duplicate")
+
+
+@pytest.mark.parametrize("kind", GRAPH_FAULTS)
+def test_graph_faults_take_their_line_without_the_line_walk(
+    tmp_path, no_line_walk, kind
+):
+    """A side, range or duplicate fault in a file whose every token parses
+    is reported at its line by the check that raised it."""
+    rng = random.Random(f"graph fault {kind}")
+    path = tmp_path / "bad.txt"
+    for _ in range(150):
+        draft = Draft(rng, rng.choice(SHAPES))
+        kinds = [kind] + rng.sample(GRAPH_FAULTS, rng.randint(0, 2))
+        kinds.sort(key=HEADER_FAULTS.__contains__)
+        for name in kinds:
+            FAULTS[name](rng, draft)
+        path.write_bytes(draft.render())
+        expected = outcome(reference_read_instance, path)
+        assert expected[0] == "error"
+        assert outcome(read_instance, path) == expected, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # ascending but for the repeat, and in no order at all
+        ("2 2 3\n0 0 1\n0 1 1\n0 1 2\n", 4, "duplicate edge (0, 1)"),
+        ("2 2 3\n1 1 1\n0 0 1\n1 1 2\n", 4, "duplicate edge (1, 1)"),
+        # a pair on three lines: its second line
+        ("3 3 4\n0 1 5\n2 2 1\n0 1 6\n0 1 7\n", 4, "duplicate edge (0, 1)"),
+        # the smaller pair's second line comes after the larger pair's
+        ("3 3 4\n1 1 1\n0 2 1\n1 1 2\n0 2 2\n", 5, "duplicate edge (0, 2)"),
+        ("3 0 2\n0 0 1\n0 0 1\n", 1, "need n >= 1 and s >= 1"),
+        ("2 2 3\n0 0 1\n0 0 2\n0 5 1\n", 4, "right index 5 out of range [0, 2)"),
+    ],
+)
+def test_hand_written_graph_faults_take_their_line(
+    tmp_path, no_line_walk, text, line, message
+):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    expected = f"{path}, line {line}: {message}"
+    assert outcome(reference_read_instance, path) == ("error", expected)
+    assert outcome(read_instance, path) == ("error", expected)
+
+
+def test_a_header_count_beyond_the_lines_fails_at_the_first_missing_line(tmp_path):
+    """The declared edge count comes from the file: the walk must not
+    allocate or visit that many lines."""
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2 1000000000000\n0 0 1\n")
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        read_instance(path)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == f"{path}, line 3: edge line 2 must be 'u v w'"
