@@ -27,9 +27,14 @@ left vertices play their columns, the objects.
    a tie or when its bidder had no runner-up.  The stage stops after
    ``ROW_REDUCTION_BIDS * s`` bids, which bounds it on any input, infeasible
    input with the precheck off included.
-3. For each right vertex still free, a Dijkstra search over reduced costs
-   finds a cheapest alternating path to an unmatched left vertex.  The
-   duals shift so the path becomes tight, and the path is flipped.
+3. For each right vertex ``v0`` still free, a Dijkstra search over reduced
+   costs finds a cheapest alternating path to an unmatched left vertex:
+   each pass fans out a row, ``v0`` first at distance 0, then settles the
+   nearest left vertex and crosses its matched edge.  ``v0`` keeps its
+   dual, which nonnegative reduced costs hold at or below its column
+   minimum, so every distance grows by one constant and no pop, tie or
+   stop changes.  The duals shift so the path becomes tight, and the path
+   is flipped.
 
 Stages 2 and 3 read a column in ascending ``(w, u)`` and stop early; both
 stops rest on ``y_u <= 0``, so ``w - y_u >= w`` on every entry.
@@ -120,9 +125,8 @@ def hungarian(
     Runs the three stages of the module docstring: column reduction with a
     greedy pass, a bounded augmenting row reduction (Jonker & Volgenant,
     1987), and one shortest augmenting path search per right vertex still
-    free.  Reduced costs stay nonnegative, matched edges tight, and
-    ``y_u <= 0`` with ``y_u == 0`` on unmatched left vertices.  On tied
-    instances the matching may be another optimum of equal weight.
+    free, keeping the three dual invariants.  On tied instances the
+    matching may be another optimum of equal weight.
 
     Raises :class:`InfeasibleInstanceError` when no such matching exists;
     with ``precheck`` off the same condition surfaces as a dead-ended
@@ -161,48 +165,20 @@ def hungarian(
     # Search state kept across searches; each search resets what it touched.
     # No settled flags are needed: reduced costs are nonnegative, so a
     # settled vertex's distance is never beaten, and its stale heap entries
-    # are dropped by the ``d > dist[u]`` test.
+    # fail the ``d == dist[u]`` test.
     dist: list[float] = [INF] * n
     pred_v = [-1] * n
     steps = 0
 
     for v0 in free:
-        # Cheapest alternating path from v0 to any unmatched left vertex,
-        # measured in reduced costs w - y_u - y_v (all nonnegative).
-        us = adj_u[v0]
-        rcs = [w - y_u[u] for u, w in zip(us, adj_w[v0])]
-        y_v[v0] = low = min(rcs)
         heap: list[tuple[int, int]] = []
         ub = INF  # least tentative distance of an unmatched left vertex
-        for u, rc in zip(us, rcs):
-            rc -= low
-            dist[u] = rc
-            pred_v[u] = v0
-            heappush(heap, (rc, u))
-            if rc < ub and match_of_u[u] is None:
-                ub = rc
-        touched = list(us)
-        settled: list[int] = []
-        rows = [v0]
-        row_dist = [0]
-
-        u_star = -1
-        while heap:
-            steps += 1
-            if steps % DEADLINE_STRIDE == 0:
-                check_deadline(deadline, "augmenting search")
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            settled.append(u)
-            v = match_of_u[u]
-            if v is None:
-                u_star = u
-                break
-            # Cross the tight matched edge into u's partner, then fan out
-            # until an entry's weight alone reaches past ub.
-            rows.append(v)
-            row_dist.append(d)
+        touched: list[int] = []
+        settled: list[int] = []  # matched, in pop order
+        v, d = v0, 0  # the root row, under the dual it already has
+        while True:
+            # Fan out row v, reached at distance d, until an entry's weight
+            # alone reaches past ub.
             base = d - y_v[v]
             if not ordered[v]:
                 _order_column(adj_u, adj_w, ordered, v)
@@ -220,24 +196,35 @@ def hungarian(
                     if nd < ub and match_of_u[u2] is None:
                         ub = nd
                         limit = ub - base
+            # Settle the nearest left vertex, then cross its tight matched
+            # edge into the next row.
+            while heap:
+                steps += 1
+                if steps % DEADLINE_STRIDE == 0:
+                    check_deadline(deadline, "augmenting search")
+                d, u = heappop(heap)
+                if d == dist[u]:
+                    break
+            else:
+                raise InfeasibleInstanceError(
+                    f"right vertex {v0} cannot be covered"
+                )
+            v = match_of_u[u]
+            if v is None:
+                break
+            settled.append(u)
 
-        if u_star < 0:
-            raise InfeasibleInstanceError(
-                f"right vertex {v0} cannot be covered"
-            )
-        total = dist[u_star]
+        # Shift duals so the found path of length d becomes tight and
+        # reduced costs stay nonnegative everywhere; u itself keeps y_u = 0.
+        y_v[v0] += d
+        for u2 in settled:
+            shift = d - dist[u2]
+            y_u[u2] -= shift
+            y_v[match_of_u[u2]] += shift
+        for u2 in touched:
+            dist[u2] = INF
 
-        # Shift duals so the found path becomes tight and reduced costs
-        # stay nonnegative everywhere; u_star itself keeps y_u = 0.
-        for v, d in zip(rows, row_dist):
-            y_v[v] += total - d
-        for u in settled:
-            y_u[u] -= total - dist[u]
-        for u in touched:
-            dist[u] = INF
-
-        # Flip matched edges along the path, ending by covering v0.
-        u = u_star
+        # Flip matched edges along the path from u, ending by covering v0.
         while True:
             v = pred_v[u]
             prev_u = match_of_v[v]

@@ -97,12 +97,16 @@ class TraceFileWriter:
 
 
 def read_trace_file(path: str | Path) -> Iterator[TraceEvent]:
-    with open(path, "r", encoding="ascii") as fh:
+    # A byte that is not ASCII is read as a lone surrogate; decoding its
+    # line again, strictly, raises the codec's ValueError for that line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
             try:
+                if not line.isascii():
+                    line.encode("ascii", "surrogateescape").decode("ascii")
+                if not line or line.startswith("#"):
+                    continue
                 event = parse_event(line)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None

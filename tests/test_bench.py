@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bimatch import bench
 from bimatch.bench import (
     BenchConfig,
     Job,
@@ -21,7 +23,7 @@ from bimatch.bench import (
 )
 from bimatch.gen import GenSpec
 from bimatch.scaling import DEFAULT_ALPHA
-from bimatch.solve import ALGORITHMS
+from bimatch.solve import ALGORITHMS, SolveResult
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -320,6 +322,44 @@ class TestRunJob:
             ]
 
         assert strip(run_job(make_job())) == strip(run_job(make_job()))
+
+    def test_a_disagreeing_weight_aborts_the_job(self, monkeypatch):
+        real_solve = bench.solve
+
+        def gk_off_by_one(graph, algo, **kwargs):
+            result = real_solve(graph, algo, **kwargs)
+            if algo == "gk":
+                return SolveResult(result.matching, result.weight + 1)
+            return result
+
+        weight = run_job(make_job())[0]["weight"]
+        monkeypatch.setattr(bench, "solve", gk_off_by_one)
+        expected = (
+            "solvers disagree on seed 1234 (erdos_renyi/uniform n=8 s=8 "
+            f"d=1.0): {{'auction': {weight}, 'gk': {weight + 1}, "
+            f"'hungarian': {weight}}}"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+            run_job(make_job())
+
+    def test_an_invalid_cover_aborts_the_job(self, monkeypatch):
+        real_solve = bench.solve
+
+        def hungarian_drops_a_pair(graph, algo, **kwargs):
+            result = real_solve(graph, algo, **kwargs)
+            if algo == "hungarian":
+                matching = result.matching.copy()
+                matching.unassign(matching.match_of_v[3], 3)
+                return SolveResult(matching, result.weight)
+            return result
+
+        monkeypatch.setattr(bench, "solve", hungarian_drops_a_pair)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^hungarian produced an invalid matching on seed 1234: "
+            r"uncovered right vertex 3$",
+        ):
+            run_job(make_job())
 
 
 class TestAggregation:

@@ -9,8 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from bimatch import cli
 from bimatch.cli import main
 from bimatch.core import build_graph, read_instance, write_instance
+from bimatch.errors import InfeasibleInstanceError
+from bimatch.solve import SolveResult
 from bimatch.tracing import read_trace_file, record_trace
 
 from conftest import g0, random_graph
@@ -242,6 +245,34 @@ class TestVerify:
         assert rc == 2
         assert "too large" in capsys.readouterr().err
 
+    def test_a_wrong_weight_is_a_mismatch(self, tmp_path, capsys, monkeypatch):
+        real_solve = cli.solve
+        monkeypatch.setattr(
+            cli,
+            "solve",
+            lambda graph, algo: SolveResult(real_solve(graph, algo).matching, 5),
+        )
+        rc = main(["verify", "--in", str(write_g0(tmp_path)), "--against", "gk"])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "MISMATCH: brute force optimum 2, gk returned 5\n"
+        )
+
+    def test_an_infeasible_verdict_on_a_feasible_file_is_a_mismatch(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(graph, algo):
+            raise InfeasibleInstanceError("right vertex 0 cannot be covered")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        rc = main(
+            ["verify", "--in", str(write_g0(tmp_path)), "--against", "hungarian"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "MISMATCH: brute force says 2, hungarian says infeasible\n"
+        )
+
 
 class TestTraceDiff:
     def test_divergent_traces_exit_1(self, tmp_path, capsys):
@@ -277,6 +308,22 @@ class TestTraceDiff:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {bad}, line {lineno}: expected 9 fields, got 3\n"
+        )
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_non_ascii_byte_exits_2_naming_file_and_line(
+        self, tmp_path, capsys, line
+    ):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        main(["solve", "--in", str(write_g0(tmp_path)), "--trace", str(good)])
+        lines = good.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:4] + b"\xc3" + lines[line - 1][4:]
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["trace-diff", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}, line {line}: 'ascii' codec can't decode byte 0xc3 "
+            "in position 4: ordinal not in range(128)\n"
         )
 
 

@@ -153,6 +153,33 @@ def test_generators_reject_empty_sides(make, n, s):
         make(n, s)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: erdos_renyi(4, 4, d, seed=0),
+        lambda d: dispersed_degree(4, 4, d, 0, seed=0),
+    ],
+    ids=["erdos_renyi", "dispersed_degree"],
+)
+@pytest.mark.parametrize("d", [-0.1, 1.5])
+def test_generators_reject_a_density_outside_unit_interval(make, d):
+    with pytest.raises(
+        ValueError, match=rf"^density parameter {d} outside \[0, 1\]$"
+    ):
+        make(d)
+
+
+@pytest.mark.parametrize(
+    "assign",
+    [assign_uniform_low_high, assign_low_or_high],
+    ids=["uniform_low_high", "low_or_high"],
+)
+@pytest.mark.parametrize("p_low", [-0.1, 1.5])
+def test_split_weight_models_reject_p_low_outside_unit_interval(assign, p_low):
+    with pytest.raises(ValueError, match=rf"^p_low {p_low} outside \[0, 1\]$"):
+        assign(complete_graph(3, 2), p_low, seed=0)
+
+
 class TestWeightModels:
     def test_uniform_range_and_mean(self):
         g = assign_uniform_weights(complete_graph(400, 250), seed=17)
