@@ -32,10 +32,15 @@ one, so a direct caller with arbitrary prices gets the plain scan's result.
 A full scan of a long row usually needs only its lightest edges.  Each solve
 builds :func:`~bimatch.scaling.weight_ordered_rows` once, after scaling:
 each row with at least ``ORDERED_ROW_MIN_EDGES`` (40) edges and
-``ORDERED_ROW_MIN_WEIGHTS`` (3) distinct weights, its positions sorted by
-``(w, v)``.  A full scan of such a row walks that order and stops at the
-first edge with ``w > third + top``, where ``top`` is the highest object
-price at the time of the scan.
+``ORDERED_ROW_MIN_WEIGHTS`` (3) distinct weights, its positions with
+``w <= cut`` sorted by ``(w, v)``.  A full scan of such a row walks that
+order and stops at the first edge with ``w > third + top``, where ``top``
+is the highest object price at the time of the scan.
+
+- The cut: a scan that reads the whole prefix with ``cut < limit`` has
+  :func:`~bimatch.scaling.complete_row` sort the rest, all above the cut,
+  onto the row, and reads on.  With ``cut >= limit`` every unread edge
+  has ``w > limit``, so it stops where the whole row's scan would.
 
 - The ceiling: the phase keeps ``top`` and the number of objects priced at
   it.  A bid that lowers the last of them takes ``top`` afresh from
@@ -83,9 +88,10 @@ from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
     CandidateCache,
-    OrderedRows,
+    OrderedView,
     check_persons_have_edges,
     check_step,
+    complete_row,
     eps_schedule,
     initial_eps,
     scale_graph,
@@ -119,7 +125,7 @@ def auction_phase(
     trace_sink: Optional[TraceSink] = None,
     deadline: Optional[float] = None,
     cache: Optional[CandidateCache] = None,
-    view: Optional[OrderedRows] = None,
+    view: Optional[OrderedView] = None,
 ) -> tuple[Matching, PriceVector]:
     """One bidding phase on a balanced graph; mutates ``prices`` in place
     and returns ``(matching, prices)``.
@@ -130,7 +136,8 @@ def auction_phase(
     cache (see the module docstring); it is valid only while prices have
     done nothing but fall since it was filled, so leave it out unless the
     prices come from the phase that last used it.  ``view`` is the
-    weight-ordered view of ``graph``'s rows; it depends only on the graph.
+    weight-ordered view of ``graph``'s rows; scans complete its rows in
+    place, and it depends only on the graph.
     """
     n, s = graph.n, graph.s
     if n != s:
@@ -149,7 +156,8 @@ def auction_phase(
     pmax = max(prices)
     # The ordered scans' price ceiling: the exact current maximum price and
     # how many objects hold it.  Kept only when some row is ordered.
-    ordered = bool(view)
+    rows, cuts = view
+    ordered = bool(rows)
     top, at_top = pmax, prices.count(pmax)
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
@@ -176,33 +184,41 @@ def auction_phase(
             else:
                 best_i, best_rc, second_rc = i1, rc1, rc2
         else:
-            if ordered and (order := view[u]) is not None:
+            if ordered and (order := rows[u]) is not None:
                 # the row in ascending (w, v), cut short by the price ceiling
                 best_rc = second_rc = third = limit = inf
                 best_i = second_i = -1
-                for i in order:
-                    w = adj_w[i]
-                    if w > limit:
-                        # every edge from here on costs w' - p(v') >=
-                        # w - top > third: best, second and third are final
-                        break
-                    rc = w - prices[adj_v[i]]
-                    if rc <= third:
-                        if rc < second_rc:
-                            third = second_rc
-                            if rc < best_rc:
-                                second_rc, second_i = best_rc, best_i
-                                best_rc, best_i = rc, i
-                            elif rc == best_rc and i < best_i:
-                                second_rc, second_i = rc, best_i
-                                best_i = i
+                while True:
+                    for i in order:
+                        w = adj_w[i]
+                        if w > limit:
+                            # every edge from here on costs w' - p(v') >=
+                            # w - top > third: best, second and third are final
+                            break
+                        rc = w - prices[adj_v[i]]
+                        if rc <= third:
+                            if rc < second_rc:
+                                third = second_rc
+                                if rc < best_rc:
+                                    second_rc, second_i = best_rc, best_i
+                                    best_rc, best_i = rc, i
+                                elif rc == best_rc and i < best_i:
+                                    second_rc, second_i = rc, best_i
+                                    best_i = i
+                                else:
+                                    second_rc, second_i = rc, i
                             else:
-                                second_rc, second_i = rc, i
-                        else:
-                            third = rc
-                            if rc == best_rc and i < best_i:
-                                best_i = i
-                        limit = third + top
+                                third = rc
+                                if rc == best_rc and i < best_i:
+                                    best_i = i
+                            limit = third + top
+                    else:
+                        if cuts[u] < limit:
+                            # the sorted prefix ran out below the limit: the
+                            # rest of the row, all above the cut, is next
+                            order = complete_row(graph, view, u)
+                            continue
+                    break
             else:
                 best_i = off[u]
                 best_rc = adj_w[best_i] - prices[adj_v[best_i]]

@@ -32,9 +32,10 @@ A double push finds the two smallest partial reduced costs
 its two smallest reduced costs, with arcs in place of adjacency positions
 (arc ``a`` is position ``a``): the same candidate cache, created once per
 solve and afresh by a direct call; the same weight-ordered rows of
-:func:`~bimatch.scaling.weight_ordered_rows`, whose full scans stop at
-the first arc with ``w > third + top``; and the same price ceiling
-``top`` over the object prices.  The auction's module docstring argues
+:func:`~bimatch.scaling.weight_ordered_rows`, sorted up to a cut, whose
+full scans stop at the first arc with ``w > third + top`` and complete
+the row when its prefix runs out with the cut below that limit; and the
+same price ceiling ``top`` over the object prices.  The auction's module docstring argues
 that each is exact.  The argument holds here because every push sets
 its object's price to ``old - gamma - eps``, the bidding form, so object
 prices only fall.  The two scans stay separate code on purpose:
@@ -59,9 +60,10 @@ from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
     CandidateCache,
-    OrderedRows,
+    OrderedView,
     check_persons_have_edges,
     check_step,
+    complete_row,
     eps_schedule,
     initial_eps,
     scale_graph,
@@ -179,7 +181,7 @@ def refine(
     deadline: Optional[float] = None,
     check_identities: bool = False,
     cache: Optional[CandidateCache] = None,
-    view: Optional[OrderedRows] = None,
+    view: Optional[OrderedView] = None,
 ) -> tuple[list[int], list[int]]:
     """One refine round; mutates ``prices`` (length ``n + s``) in place and
     returns ``(flow, prices)``.
@@ -196,8 +198,8 @@ def refine(
     candidate cache (see the module docstring); it is valid only while
     object prices have done nothing but fall since it was filled, so leave
     it out unless the prices come from the refine that last used it.
-    ``view`` is the weight-ordered view of the graph's rows; it depends
-    only on the graph.
+    ``view`` is the weight-ordered view of the graph's rows; scans complete
+    its rows in place, and it depends only on the graph.
     """
     g = fi.graph
     n, s = g.n, g.s
@@ -218,7 +220,8 @@ def refine(
     pmax = max(objects)
     # The ordered scans' price ceiling: the exact current maximum object
     # price and how many objects hold it.  Kept only when some row is ordered.
-    ordered = bool(view)
+    rows, cuts = view
+    ordered = bool(rows)
     top, at_top = pmax, objects.count(pmax)
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
@@ -245,33 +248,41 @@ def refine(
             else:
                 best_arc, best_rc, second_rc = a1, rc1, rc2
         else:
-            if ordered and (order := view[u]) is not None:
+            if ordered and (order := rows[u]) is not None:
                 # the row in ascending (w, v), cut short by the price ceiling
                 best_rc = second_rc = third = limit = inf
                 best_arc = second_arc = -1
-                for a in order:
-                    w = adj_w[a]
-                    if w > limit:
-                        # every arc from here on costs w' - p(v') >=
-                        # w - top > third: best, second and third are final
-                        break
-                    rc = w - objects[adj_v[a]]
-                    if rc <= third:
-                        if rc < second_rc:
-                            third = second_rc
-                            if rc < best_rc:
-                                second_rc, second_arc = best_rc, best_arc
-                                best_rc, best_arc = rc, a
-                            elif rc == best_rc and a < best_arc:
-                                second_rc, second_arc = rc, best_arc
-                                best_arc = a
+                while True:
+                    for a in order:
+                        w = adj_w[a]
+                        if w > limit:
+                            # every arc from here on costs w' - p(v') >=
+                            # w - top > third: best, second and third are final
+                            break
+                        rc = w - objects[adj_v[a]]
+                        if rc <= third:
+                            if rc < second_rc:
+                                third = second_rc
+                                if rc < best_rc:
+                                    second_rc, second_arc = best_rc, best_arc
+                                    best_rc, best_arc = rc, a
+                                elif rc == best_rc and a < best_arc:
+                                    second_rc, second_arc = rc, best_arc
+                                    best_arc = a
+                                else:
+                                    second_rc, second_arc = rc, a
                             else:
-                                second_rc, second_arc = rc, a
-                        else:
-                            third = rc
-                            if rc == best_rc and a < best_arc:
-                                best_arc = a
-                        limit = third + top
+                                third = rc
+                                if rc == best_rc and a < best_arc:
+                                    best_arc = a
+                            limit = third + top
+                    else:
+                        if cuts[u] < limit:
+                            # the sorted prefix ran out below the limit: the
+                            # rest of the row, all above the cut, is next
+                            order = complete_row(g, view, u)
+                            continue
+                    break
             else:
                 best_arc = off[u]
                 best_rc = adj_w[best_arc] - objects[adj_v[best_arc]]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from fractions import Fraction
 from math import inf
 from typing import Optional
 
@@ -304,9 +305,9 @@ def ordered_rows(monkeypatch) -> list[int]:
     counts: list[int] = []
 
     def counting(graph):
-        rows = weight_ordered_rows(graph)
-        counts.append(sum(row is not None for row in rows))
-        return rows
+        view = weight_ordered_rows(graph)
+        counts.append(sum(row is not None for row in view[0]))
+        return view
 
     monkeypatch.setattr(auction_module, "weight_ordered_rows", counting)
     monkeypatch.setattr(gk_module, "weight_ordered_rows", counting)
@@ -441,11 +442,17 @@ def counted_phase_events(graph, eps, prices):
         "gk": [CountingRow(graph, u, gk_prices, n) for u in range(n)],
     }
     auction: list[TraceEvent] = []
+    whole = [inf] * n
     auction_phase(
-        graph, eps, auction_prices, trace_sink=auction, view=views["auction"]
+        graph,
+        eps,
+        auction_prices,
+        trace_sink=auction,
+        view=(views["auction"], list(whole)),
     )
     gk: list[TraceEvent] = []
-    refine(to_flow_instance(graph), eps, gk_prices, trace_sink=gk, view=views["gk"])
+    fi = to_flow_instance(graph)
+    refine(fi, eps, gk_prices, trace_sink=gk, view=(views["gk"], list(whole)))
     expected: list[TraceEvent] = []
     reference_phase(graph, eps, list(prices), expected)
     taken = [row.taken for row in views["auction"]]
@@ -510,18 +517,20 @@ CUTOFF = scaling.ORDERED_ROW_MIN_EDGES
 FEW = scaling.ORDERED_ROW_MIN_WEIGHTS
 
 
-@pytest.mark.parametrize(
-    "label, low, high, n",
-    [
-        ("uniform", 1, 10_000, CUTOFF + 20),
-        ("negative", -400, 300, CUTOFF + 20),
-        # few more weights than the row length minimum, on rows twice as
-        # long: reduced costs tie often, between different weights too
-        ("small-range", 1, CUTOFF + 15, 2 * CUTOFF + 20),
-        # just the distinct minimum: long runs of equal weights
-        ("few-weights", 1, FEW, CUTOFF + 10),
-    ],
-)
+REAL_CUTOFF_ROWS = [
+    ("uniform", 1, 10_000, CUTOFF + 20),
+    ("negative", -400, 300, CUTOFF + 20),
+    # few more weights than the row length minimum, on rows twice as
+    # long: reduced costs tie often, between different weights too
+    ("small-range", 1, CUTOFF + 15, 2 * CUTOFF + 20),
+    # just the distinct minimum: long runs of equal weights
+    ("few-weights", 1, FEW, CUTOFF + 10),
+    # rows long enough to be sorted only up to their cut
+    ("prefix", 1, 10_000, max(CUTOFF, scaling.ORDERED_PREFIX_MIN_EDGES) + 10),
+]
+
+
+@pytest.mark.parametrize("label, low, high, n", REAL_CUTOFF_ROWS)
 def test_rows_above_the_real_cutoff(label, low, high, n, ordered_rows):
     rng = random.Random(n + low)
     for _ in range(2):
@@ -568,7 +577,79 @@ def test_unbalanced_graph_whose_mirror_has_both_kinds_of_rows(ordered_rows):
     )
     balanced = scale_graph(build_reduction(g).graph)
     assert balanced.n == n + s
-    rows = weight_ordered_rows(balanced)
+    rows, _ = weight_ordered_rows(balanced)
     assert any(r is None for r in rows) and any(r is not None for r in rows)
     assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
     assert ordered_rows == [sum(r is not None for r in rows)] * 2
+
+
+# The sorted prefix.  A row of at least ORDERED_PREFIX_MIN_EDGES edges is
+# sorted only up to its cut; a scan that reads the whole prefix below its
+# limit has complete_row sort the rest onto it and reads on.  With the cut
+# at each row's lightest weight almost every ordered row completes in the
+# middle of a scan, and every trace must still equal the plain scan's.
+
+
+@pytest.fixture
+def completions(monkeypatch) -> list[int]:
+    """The rows the two solvers' scans complete, in order."""
+    done: list[int] = []
+
+    def counting(graph, view, u):
+        done.append(u)
+        return scaling.complete_row(graph, view, u)
+
+    monkeypatch.setattr(auction_module, "complete_row", counting)
+    monkeypatch.setattr(gk_module, "complete_row", counting)
+    return done
+
+
+class TestEveryRowCompletes(TestEveryRowOrdered):
+    """The families above again, every ordered row cut at its lightest
+    weight."""
+
+    @pytest.fixture(autouse=True)
+    def cut_at_the_lightest_weight(self, monkeypatch, completions):
+        monkeypatch.setattr(scaling, "ORDERED_PREFIX_MIN_EDGES", 2)
+        monkeypatch.setattr(scaling, "ORDERED_PREFIX_DEPTH", Fraction(0))
+        yield
+        assert completions
+
+    @pytest.mark.parametrize("label, low, high, n", REAL_CUTOFF_ROWS)
+    def test_rows_above_the_real_cutoff(self, label, low, high, n, ordered_rows):
+        test_rows_above_the_real_cutoff(label, low, high, n, ordered_rows)
+
+
+def test_a_row_completes_at_most_once_per_view(completions, monkeypatch):
+    # each solve builds its own view and completes a row of it at most
+    # once; phases that share one view complete each row once among them
+    monkeypatch.setattr(scaling, "ORDERED_ROW_MIN_EDGES", 2)
+    monkeypatch.setattr(scaling, "ORDERED_ROW_MIN_WEIGHTS", 2)
+    monkeypatch.setattr(scaling, "ORDERED_PREFIX_MIN_EDGES", 2)
+    monkeypatch.setattr(scaling, "ORDERED_PREFIX_DEPTH", Fraction(0))
+    rng = random.Random(31)
+    g = draw(rng, 30, 30, lambda: rng.randint(4, 20), lambda: rng.randint(1, 900))
+    assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
+    half = len(completions) // 2
+    assert half and len(set(completions)) == half
+    assert completions[:half] == completions[half:]
+
+    scaled = scale_graph(g)
+    view = rows, cuts = weight_ordered_rows(scaled)
+    prefixes = [u for u in range(g.n) if cuts[u] != inf]
+    del completions[:]
+    prices = [0] * g.s
+    for eps in (64, 8, 1):
+        events: list[TraceEvent] = []
+        auction_phase(scaled, eps, list(prices), trace_sink=events, view=view)
+        expected: list[TraceEvent] = []
+        reference_phase(scaled, eps, prices, expected)
+        assert events == expected
+    refine(to_flow_instance(scaled), 1, [0] * (2 * g.n), view=view)
+    assert completions and len(set(completions)) == len(completions)
+    assert set(completions) <= set(prefixes)
+    off, adj_v, adj_w = scaled.adj_off, scaled.adj_v, scaled.adj_w
+    for u in prefixes:
+        whole = sorted(range(off[u], off[u + 1]), key=lambda i: (adj_w[i], adj_v[i]))
+        assert (cuts[u] == inf) == (u in completions)
+        assert (rows[u] == whole) == (cuts[u] == inf)

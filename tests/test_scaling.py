@@ -4,17 +4,21 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from math import inf
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimatch import auction, errors, gk, scaling
 from bimatch.errors import SolveTimeout
 from bimatch.scaling import (
+    ORDERED_PREFIX_DEPTH,
+    ORDERED_PREFIX_MIN_EDGES,
     ORDERED_ROW_MIN_EDGES,
     ORDERED_ROW_MIN_WEIGHTS,
+    complete_row,
     eps_schedule,
     initial_eps,
     parse_alpha,
@@ -101,34 +105,57 @@ class TestSentinelGap:
         assert second_cost_sentinel_gap(9) == 19
 
 
+def whole_row(graph, view, u):
+    """Row ``u`` of ``view``, its rest sorted on first if it has one."""
+    rows, cuts = view
+    if cuts[u] != inf:
+        complete_row(graph, view, u)
+    return rows[u]
+
+
+def stable_order(graph, u):
+    """Row ``u``'s positions sorted by ``(w, v)``."""
+    off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
+    return sorted(range(off[u], off[u + 1]), key=lambda i: (adj_w[i], adj_v[i]))
+
+
 class TestWeightOrderedRows:
     D = ORDERED_ROW_MIN_EDGES
     K = ORDERED_ROW_MIN_WEIGHTS
+    # row length of the first test: long enough for a prefix
+    L = max(ORDERED_ROW_MIN_EDGES, ORDERED_PREFIX_MIN_EDGES)
 
     def test_rows_sort_by_weight_then_object(self):
-        d = self.D
-        # row 0: d distinct weights, falling, with a repeat of each of the
+        d, ln = self.D, self.L
+        # row 0: ln distinct weights, falling, with a repeat of each of the
         # two smallest; row 1: one weight short of the distinct minimum;
         # row 2: exactly the distinct minimum, the last weight once; row 3:
         # d distinct weights, one edge short of the length minimum
-        n = d + 2
-        w0 = [d - v if v < d else v - d + 1 for v in range(n)]
+        n = ln + 2
+        w0 = [ln - v if v < ln else v - ln + 1 for v in range(n)]
         edges = [(0, v, w) for v, w in enumerate(w0)]
         edges += [(1, v, v % (self.K - 1)) for v in range(n)]
         edges += [(2, v, min(v, self.K - 1) if v < self.K else 0) for v in range(n)]
         edges += [(3, v, v) for v in range(d - 1)]
         edges += [(u, u, 1) for u in range(4, n)]
         g = build_graph(n, n, edges)
-        rows = weight_ordered_rows(g)
+        view = rows, cuts = weight_ordered_rows(g)
         assert len(rows) == n
         assert rows[1] is None and rows[3:] == [None] * (n - 3)
+        # row 0 holds its weights up to ORDERED_PREFIX_DEPTH times
+        # max_abs_weight above its lightest; row 2, almost all zeros, is
+        # whole at once
+        depth = ORDERED_PREFIX_DEPTH
+        assert cuts[0] == 1 + g.max_abs_weight * depth.numerator // depth.denominator
+        assert rows[0] == [i for i in stable_order(g, 0) if g.adj_w[i] <= cuts[0]]
+        assert 3 <= len(rows[0]) < n and cuts[2] == inf
         for u in (0, 2):
-            order = rows[u]
+            order = whole_row(g, view, u)
             assert sorted(order) == list(range(g.adj_off[u], g.adj_off[u + 1]))
             keys = [(g.adj_w[i], g.adj_v[i]) for i in order]
             assert keys == sorted(keys)
         keys = [(g.adj_w[i], g.adj_v[i]) for i in rows[0]]
-        assert keys[:4] == [(1, d - 1), (1, d), (2, d - 2), (2, d + 1)]
+        assert keys[:4] == [(1, ln - 1), (1, ln), (2, ln - 2), (2, ln + 1)]
         assert len({g.adj_w[i] for i in rows[2]}) == self.K
 
     def test_distinct_weights_after_a_repeated_start_count(self):
@@ -140,12 +167,43 @@ class TestWeightOrderedRows:
         edges = [(0, v, w) for v, w in enumerate(w0)]
         edges += [(1, v, w) for v, w in enumerate(w1)]
         g = build_graph(2, d, edges)
-        rows = weight_ordered_rows(g)
+        view = rows, _ = weight_ordered_rows(g)
         assert rows[1] is None
-        assert [g.adj_w[i] for i in rows[0]] == sorted(w0)
+        assert [g.adj_w[i] for i in whole_row(g, view, 0)] == sorted(w0)
 
     def test_no_ordered_row_gives_an_empty_view(self):
-        assert weight_ordered_rows(g0()) == []
+        assert weight_ordered_rows(g0()) == ([], [])
+
+    @given(
+        weights=st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+        depth=st.sampled_from(
+            [Fraction(-1), Fraction(-1, 8), Fraction(0), Fraction(1, 8),
+             Fraction(1, 4), Fraction(1, 2), Fraction(2)]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(weights=[3, 1, 2, 1, 5, 2], depth=Fraction(1, 5))  # ties at the cut
+    @example(weights=[4, -3, 6, 0, 2], depth=Fraction(0))  # one entry
+    @example(weights=[-5, 6, -5, 1], depth=Fraction(0))  # two
+    @example(weights=[2, -1, 0, 5], depth=Fraction(-1))  # empty
+    def test_prefix_and_rest_make_the_whole_stable_sort(self, weights, depth):
+        # one row of small, often negative and often tied weights, cut
+        # anywhere from below its lightest weight to above its heaviest
+        g = build_graph(1, len(weights), [(0, v, w) for v, w in enumerate(weights)])
+        whole = stable_order(g, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scaling, "ORDERED_ROW_MIN_EDGES", 1)
+            mp.setattr(scaling, "ORDERED_ROW_MIN_WEIGHTS", 1)
+            mp.setattr(scaling, "ORDERED_PREFIX_MIN_EDGES", 1)
+            mp.setattr(scaling, "ORDERED_PREFIX_DEPTH", depth)
+            view = rows, cuts = weight_ordered_rows(g)
+        (prefix,), (cut,) = rows, cuts
+        cut_at = min(weights) + g.max_abs_weight * depth.numerator // depth.denominator
+        assert prefix == [i for i in whole if weights[i] <= cut_at]
+        assert cut == (inf if len(prefix) == len(weights) else cut_at)
+        rest = complete_row(g, view, 0) if cut != inf else []
+        assert rest == [i for i in whole if weights[i] > cut]
+        assert rows == [whole] and cuts == [inf]
 
     @pytest.mark.parametrize(
         "module, solver",
