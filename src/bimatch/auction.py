@@ -9,8 +9,10 @@ shrinking geometrically, carrying prices across phases but starting each
 matching from scratch; at scaled ``eps == 1`` the result is exactly optimal.
 
 The bidding loop does not terminate when the instance has no covering
-matching, so the driver prechecks feasibility by default and the loop
-carries a generous step cap as a backstop.
+matching.  So by default the driver rejects ``s > n`` and ``m < s`` up
+front, and phase 0 runs the Hopcroft-Karp precheck once it reaches
+``PRECHECK_STALL_BIDS * N`` bids; a finished phase 0 is a perfect matching,
+which needs no check.  The loop carries a generous step cap as a backstop.
 
 A bid usually does not need its full scan.  The loop keeps a candidate
 cache, one entry per person: the positions of the two smallest reduced
@@ -82,11 +84,18 @@ from math import inf
 from typing import Callable, Optional
 
 from .core import Matching, PriceVector, WeightedBipartiteGraph
-from .errors import DEADLINE_STRIDE, check_deadline
-from .feasibility import feasibility_precheck
+from .errors import (
+    DEADLINE_STRIDE,
+    InfeasibleInstanceError,
+    IterationLimitError,
+    SolveTimeout,
+    check_deadline,
+)
+from .feasibility import begin_precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
+    PRECHECK_STALL_BIDS,
     CandidateCache,
     OrderedView,
     check_persons_have_edges,
@@ -126,6 +135,7 @@ def auction_phase(
     deadline: Optional[float] = None,
     cache: Optional[CandidateCache] = None,
     view: Optional[OrderedView] = None,
+    on_stall: Optional[Callable[[], None]] = None,
 ) -> tuple[Matching, PriceVector]:
     """One bidding phase on a balanced graph; mutates ``prices`` in place
     and returns ``(matching, prices)``.
@@ -137,7 +147,8 @@ def auction_phase(
     done nothing but fall since it was filled, so leave it out unless the
     prices come from the phase that last used it.  ``view`` is the
     weight-ordered view of ``graph``'s rows; scans complete its rows in
-    place, and it depends only on the graph.
+    place, and it depends only on the graph.  ``on_stall`` is called once,
+    before bid ``PRECHECK_STALL_BIDS * n``, if the phase gets that far.
     """
     n, s = graph.n, graph.s
     if n != s:
@@ -162,12 +173,18 @@ def auction_phase(
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
     cap = step_cap(graph, pmax - min(prices), eps)
-    probe = cap if deadline is None else 0
+    stall = cap if on_stall is None else min(cap, PRECHECK_STALL_BIDS * n)
+    probe = min(stall, cap if deadline is None else 0)
     step = 0
     while queue:
         if step >= probe:
+            if step == stall and on_stall is not None:
+                on_stall()
+                on_stall, stall = None, cap
             check_step(step, cap, eps, deadline, "bidding phase")
-            probe = cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
+            probe = min(
+                stall, cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
+            )
         u = pop()
 
         entry = cache[u]
@@ -293,41 +310,51 @@ def eps_scaling_auction(
 ) -> Matching:
     """Minimum-weight matching covering every right vertex.
 
-    Raises :class:`InfeasibleInstanceError` when no such matching exists
-    (detected up front unless ``precheck`` is disabled).  Unbalanced input
-    is balanced by :func:`build_reduction`: the column kernel, then the
-    ``double`` construction.
+    Raises :class:`InfeasibleInstanceError` when no such matching exists;
+    unless ``precheck`` is disabled, with the message of
+    :func:`~bimatch.feasibility.feasibility_precheck`, whose pass is
+    deferred as that module describes.  Unbalanced input is balanced by
+    :func:`build_reduction`: the column kernel, then the ``double``
+    construction.
     """
+    check = None
     if precheck:
-        feasibility_precheck(graph)
-    balanced = build_reduction(graph, deadline=deadline)
-    check_deadline(deadline, "balancing reduction")
-    scaled = scale_graph(balanced.graph)
-    view = weight_ordered_rows(scaled)
-    check_deadline(deadline, "weight-ordered rows")
-    prices: PriceVector = [0] * scaled.s
-    cache: CandidateCache = [None] * scaled.n
-    matching: Optional[Matching] = None
-    for phase_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
-        matching, prices = auction_phase(
-            scaled,
-            eps,
-            prices,
-            phase_index=phase_index,
-            trace_sink=trace_sink,
-            deadline=deadline,
-            cache=cache,
-            view=view,
-        )
-        if on_phase is not None:
-            on_phase(
-                PhaseSnapshot(
-                    phase_index=phase_index,
-                    eps=eps,
-                    graph=scaled,
-                    prices=list(prices),
-                    matching=matching.copy(),
-                )
+        check = begin_precheck(graph, defer=trace_sink is None)
+    try:
+        balanced = build_reduction(graph, deadline=deadline)
+        check_deadline(deadline, "balancing reduction")
+        scaled = scale_graph(balanced.graph)
+        view = weight_ordered_rows(scaled)
+        check_deadline(deadline, "weight-ordered rows")
+        prices: PriceVector = [0] * scaled.s
+        cache: CandidateCache = [None] * scaled.n
+        matching: Optional[Matching] = None
+        for phase_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
+            matching, prices = auction_phase(
+                scaled,
+                eps,
+                prices,
+                phase_index=phase_index,
+                trace_sink=trace_sink,
+                deadline=deadline,
+                cache=cache,
+                view=view,
+                on_stall=check,
             )
+            check = None  # a perfect matching: every right vertex is coverable
+            if on_phase is not None:
+                on_phase(
+                    PhaseSnapshot(
+                        phase_index=phase_index,
+                        eps=eps,
+                        graph=scaled,
+                        prices=list(prices),
+                        matching=matching.copy(),
+                    )
+                )
+    except (InfeasibleInstanceError, SolveTimeout, IterationLimitError):
+        if check is not None:
+            check()
+        raise
     assert matching is not None
     return project_matching(balanced, matching)

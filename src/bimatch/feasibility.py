@@ -1,8 +1,18 @@
 """Feasibility precheck: can every right vertex be covered?
 
 The bidding loop does not terminate when some right vertex is uncoverable,
-so solvers screen instances first.  Coverage is a pure cardinality question:
+so the solvers screen instances.  Coverage is a pure cardinality question:
 is the maximum matching of the unweighted graph of size ``s``?
+
+A solve with the precheck on rejects ``s > n`` and ``m < s`` up front
+(:func:`begin_precheck`) and defers the matching.  The auction and gk run
+it when their first phase reaches ``PRECHECK_STALL_BIDS * N`` bids (see
+:mod:`bimatch.scaling`), or when an infeasibility error, a timeout or a
+step-cap error escapes before that phase finishes; a finished first phase
+is a perfect matching of the balanced graph, which certifies coverage.
+Hungarian runs it when an infeasibility error or a timeout escapes.  A
+traced solve runs the whole check up front, so an infeasible input writes
+no bid.
 
 The maximum matching is found in pure Python, in two steps.  A greedy pass
 gives every left vertex its first free neighbour.  Hopcroft-Karp phases
@@ -16,6 +26,8 @@ O(m * sqrt(n)).  The search stops as soon as the matching has
 """
 
 from __future__ import annotations
+
+from typing import Callable, NoReturn, Optional
 
 from .core import WeightedBipartiteGraph
 from .errors import InfeasibleInstanceError
@@ -139,6 +151,30 @@ def is_feasible(graph: WeightedBipartiteGraph) -> bool:
 def feasibility_precheck(graph: WeightedBipartiteGraph) -> None:
     """Raise :class:`InfeasibleInstanceError` unless all of V is coverable."""
     if not is_feasible(graph):
-        raise InfeasibleInstanceError(
-            f"no matching covers all {graph.s} right vertices"
-        )
+        _reject(graph)
+
+
+def begin_precheck(
+    graph: WeightedBipartiteGraph, defer: bool = True
+) -> Optional[Callable[[], None]]:
+    """Start a solve's precheck: the O(1) rejections now, and the maximum
+    matching now too unless ``defer``.  Returns the check still owed, a call
+    that runs :func:`feasibility_precheck` at most once, or ``None``."""
+    if not defer:
+        feasibility_precheck(graph)
+        return None
+    if graph.s > graph.n or graph.m < graph.s:
+        _reject(graph)
+    owed = [graph]
+
+    def check() -> None:
+        if owed:
+            feasibility_precheck(owed.pop())
+
+    return check
+
+
+def _reject(graph: WeightedBipartiteGraph) -> NoReturn:
+    raise InfeasibleInstanceError(
+        f"no matching covers all {graph.s} right vertices"
+    )

@@ -7,7 +7,9 @@ person: relabel ``p(u)`` to minus the runner-up partial reduced cost, push
 the unit to the best object, bounce the object's previous unit back to its
 old owner, and drop the object's price to ``p(u) + w(uv) - eps``.  The
 driver shrinks ``eps`` exactly like the bidding solver and shares its step
-ordering, which is what makes the two solvers' traces comparable.
+ordering, which is what makes the two solvers' traces comparable.  It
+defers the feasibility precheck as the auction's driver does: refine 0
+runs it once it reaches ``PRECHECK_STALL_BIDS * N`` pushes.
 
 A round keeps its pseudoflow and its object prices in three lists:
 ``owner[v]``, the person whose unit object ``v`` holds, ``owner_arc[v]``,
@@ -54,11 +56,18 @@ from math import inf
 from typing import Callable, Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import DEADLINE_STRIDE, check_deadline
-from .feasibility import feasibility_precheck
+from .errors import (
+    DEADLINE_STRIDE,
+    InfeasibleInstanceError,
+    IterationLimitError,
+    SolveTimeout,
+    check_deadline,
+)
+from .feasibility import begin_precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
+    PRECHECK_STALL_BIDS,
     CandidateCache,
     OrderedView,
     check_persons_have_edges,
@@ -182,6 +191,7 @@ def refine(
     check_identities: bool = False,
     cache: Optional[CandidateCache] = None,
     view: Optional[OrderedView] = None,
+    on_stall: Optional[Callable[[], None]] = None,
 ) -> tuple[list[int], list[int]]:
     """One refine round; mutates ``prices`` (length ``n + s``) in place and
     returns ``(flow, prices)``.
@@ -199,7 +209,9 @@ def refine(
     object prices have done nothing but fall since it was filled, so leave
     it out unless the prices come from the refine that last used it.
     ``view`` is the weight-ordered view of the graph's rows; scans complete
-    its rows in place, and it depends only on the graph.
+    its rows in place, and it depends only on the graph.  ``on_stall`` is
+    called once, before push ``PRECHECK_STALL_BIDS * n``, if the round gets
+    that far.
     """
     g = fi.graph
     n, s = g.n, g.s
@@ -226,12 +238,18 @@ def refine(
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
     cap = step_cap(g, pmax - min(objects), eps)
-    probe = cap if deadline is None else 0
+    stall = cap if on_stall is None else min(cap, PRECHECK_STALL_BIDS * n)
+    probe = min(stall, cap if deadline is None else 0)
     step = 0
     while queue:
         if step >= probe:
+            if step == stall and on_stall is not None:
+                on_stall()
+                on_stall, stall = None, cap
             check_step(step, cap, eps, deadline, "refine")
-            probe = cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
+            probe = min(
+                stall, cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
+            )
         u = pop()
 
         entry = cache[u]
@@ -375,43 +393,53 @@ def goldberg_kennedy(
 ) -> Matching:
     """Minimum-weight matching covering every right vertex.
 
-    Raises :class:`InfeasibleInstanceError` when no such matching exists
-    (detected up front unless ``precheck`` is disabled).  Unbalanced input
-    is balanced by :func:`build_reduction`: the column kernel, then the
-    ``double`` construction.
+    Raises :class:`InfeasibleInstanceError` when no such matching exists;
+    unless ``precheck`` is disabled, with the message of
+    :func:`~bimatch.feasibility.feasibility_precheck`, whose pass is
+    deferred as that module describes.  Unbalanced input is balanced by
+    :func:`build_reduction`: the column kernel, then the ``double``
+    construction.
     """
+    check = None
     if precheck:
-        feasibility_precheck(graph)
-    balanced = build_reduction(graph, deadline=deadline)
-    check_deadline(deadline, "balancing reduction")
-    scaled = scale_graph(balanced.graph)
-    fi = to_flow_instance(scaled)
-    view = weight_ordered_rows(scaled)
-    check_deadline(deadline, "weight-ordered rows")
-    prices = [0] * fi.n_nodes
-    cache: CandidateCache = [None] * fi.graph.n
-    flow: list[int] = []
-    for refine_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
-        flow, prices = refine(
-            fi,
-            eps,
-            prices,
-            refine_index=refine_index,
-            trace_sink=trace_sink,
-            deadline=deadline,
-            check_identities=check_identities,
-            cache=cache,
-            view=view,
-        )
-        if on_refine is not None:
-            on_refine(
-                RefineSnapshot(
-                    refine_index=refine_index,
-                    eps=eps,
-                    instance=fi,
-                    flow=list(flow),
-                    prices=list(prices),
-                    matching=flow_to_matching(fi, flow),
-                )
+        check = begin_precheck(graph, defer=trace_sink is None)
+    try:
+        balanced = build_reduction(graph, deadline=deadline)
+        check_deadline(deadline, "balancing reduction")
+        scaled = scale_graph(balanced.graph)
+        fi = to_flow_instance(scaled)
+        view = weight_ordered_rows(scaled)
+        check_deadline(deadline, "weight-ordered rows")
+        prices = [0] * fi.n_nodes
+        cache: CandidateCache = [None] * fi.graph.n
+        flow: list[int] = []
+        for refine_index, eps in enumerate(eps_schedule(initial_eps(scaled), alpha)):
+            flow, prices = refine(
+                fi,
+                eps,
+                prices,
+                refine_index=refine_index,
+                trace_sink=trace_sink,
+                deadline=deadline,
+                check_identities=check_identities,
+                cache=cache,
+                view=view,
+                on_stall=check,
             )
+            check = None  # a perfect matching: every right vertex is coverable
+            if on_refine is not None:
+                on_refine(
+                    RefineSnapshot(
+                        refine_index=refine_index,
+                        eps=eps,
+                        instance=fi,
+                        flow=list(flow),
+                        prices=list(prices),
+                        matching=flow_to_matching(fi, flow),
+                    )
+                )
+    except (InfeasibleInstanceError, SolveTimeout, IterationLimitError):
+        if check is not None:
+            check()
+        raise
     return project_matching(balanced, flow_to_matching(fi, flow))

@@ -26,7 +26,7 @@ left vertices play their columns, the objects.
    bids next when the gap was positive, and goes to the back of the queue on
    a tie or when its bidder had no runner-up.  The stage stops after
    ``ROW_REDUCTION_BIDS * s`` bids, which bounds it on any input, infeasible
-   input with the precheck off included.
+   input included.
 3. For each right vertex ``v0`` still free, a Dijkstra search over reduced
    costs finds a cheapest alternating path to an unmatched left vertex:
    each pass fans out a row, ``v0`` first at distance 0, then settles the
@@ -67,8 +67,13 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import DEADLINE_STRIDE, InfeasibleInstanceError, check_deadline
-from .feasibility import feasibility_precheck
+from .errors import (
+    DEADLINE_STRIDE,
+    InfeasibleInstanceError,
+    SolveTimeout,
+    check_deadline,
+)
+from .feasibility import begin_precheck
 
 # Bid budget of the augmenting row reduction, per right vertex.  Of 3, 4, 6,
 # 8 and 10, 8 left the fastest solves on random square graphs (n = 300 to
@@ -128,13 +133,29 @@ def hungarian(
     free, keeping the three dual invariants.  On tied instances the
     matching may be another optimum of equal weight.
 
-    Raises :class:`InfeasibleInstanceError` when no such matching exists;
-    with ``precheck`` off the same condition surfaces as a dead-ended
-    search.  ``validate_duals`` audits the three invariants after the start
-    and after every augmentation (slow; for tests).
+    Raises :class:`InfeasibleInstanceError` when no such matching exists,
+    surfacing as a dead-ended search or a right vertex with no edges.  With
+    ``precheck`` on, ``s > n`` and ``m < s`` are rejected up front, and the
+    Hopcroft-Karp pass of :mod:`bimatch.feasibility` runs only before an
+    infeasibility error or a timeout escapes, so on infeasible input either
+    one becomes the precheck's error.  ``validate_duals`` audits the three
+    invariants after the start and after every augmentation (slow; for
+    tests).
     """
-    if precheck:
-        feasibility_precheck(graph)
+    check = begin_precheck(graph) if precheck else None
+    try:
+        return _solve(graph, deadline, validate_duals)
+    except (InfeasibleInstanceError, SolveTimeout):
+        if check is not None:
+            check()
+        raise
+
+
+def _solve(
+    graph: WeightedBipartiteGraph,
+    deadline: Optional[float],
+    validate_duals: bool,
+) -> Matching:
     n, s = graph.n, graph.s
     adj_u, adj_w = _right_adjacency(graph)
     matching = Matching(n, s)

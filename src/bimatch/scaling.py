@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import repeat
 from math import inf
+from operator import mul
 from typing import Iterator, Optional
 
 from .core import WeightedBipartiteGraph
@@ -27,7 +29,17 @@ def scale_factor(graph: WeightedBipartiteGraph) -> int:
 def scale_graph(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     """Same structure, every weight multiplied by ``n + 1``."""
     k = scale_factor(graph)
-    return replace(graph, adj_w=tuple(w * k for w in graph.adj_w))
+    return replace(graph, adj_w=tuple(map(mul, graph.adj_w, repeat(k))))
+
+
+# A solve with the precheck on defers its Hopcroft-Karp pass: the first
+# phase (or refine) runs it once it reaches PRECHECK_STALL_BIDS bids per
+# balanced person, and resumes bidding if it passes.  First-phase bids per
+# person on the perfbench seed-1 draws: dense-square 1.04-1.13, ties-
+# unbalanced 1.16-1.19, sparse-square 1.69-2.47 (7 of 10 above 2).  So
+# dense and ties solves never run the pass, while an uncoverable input,
+# whose bidders fight without end, meets it after 2N bids.
+PRECHECK_STALL_BIDS = 2
 
 
 # A person's row is read in weight order when it holds at least

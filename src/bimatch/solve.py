@@ -44,7 +44,11 @@ def solve(
     :class:`InfeasibleInstanceError` propagates.
 
     With ``trace_sink`` the auction and gk solvers append one event per bid
-    to it, and gk also checks its per-push price identities.
+    to it, and gk also checks its per-push price identities.  ``precheck``
+    gives infeasible input the message of
+    :func:`~bimatch.feasibility.feasibility_precheck`; each solver defers
+    its Hopcroft-Karp pass, and runs it only when the solve stalls or fails
+    before a first phase finishes (always, up front, when traced).
     """
     if trace_sink is not None:
         require_traced(algorithm)

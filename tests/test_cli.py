@@ -31,6 +31,27 @@ def write_infeasible(tmp_path):
     return path
 
 
+def write_hall_violator(tmp_path):
+    # right vertices 0 and 1 are reachable only from left vertex 0; with
+    # m >= s only the matching pass, not the edge counts, rejects it
+    edges = [(0, 0, 1), (0, 1, 2)]
+    edges += [(u, v, 1 + (3 * u + v) % 5) for u in range(4) for v in (2, 3)]
+    path = tmp_path / "hall.txt"
+    write_instance(build_graph(4, 4, edges), path)
+    return path
+
+
+INFEASIBLE_FILES = [
+    pytest.param(write_infeasible, id="isolated-right-vertex"),
+    pytest.param(write_hall_violator, id="hall-violator"),
+]
+
+# The trace file an infeasible traced solve leaves: the header, no bid.
+INFEASIBLE_TRACE_DIGEST = (
+    "f269390d5132e6d6e1e139ed157acff15ff52fe4dce7b4706c0b1ec86ae61d83"
+)
+
+
 class TestGen:
     def test_writes_a_readable_instance(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"
@@ -77,10 +98,25 @@ class TestSolve:
         out = capsys.readouterr().out.splitlines()
         assert out == ["0 0", "1 1", "weight 2"]
 
-    def test_infeasible_exits_1(self, tmp_path, capsys):
-        rc = main(["solve", "--in", str(write_infeasible(tmp_path))])
+    @pytest.mark.parametrize("write", INFEASIBLE_FILES)
+    @pytest.mark.parametrize("algo", ["auction", "gk", "hungarian"])
+    def test_infeasible_exits_1(self, tmp_path, capsys, algo, write):
+        rc = main(["solve", "--algo", algo, "--in", str(write(tmp_path))])
         assert rc == 1
         assert capsys.readouterr().out.strip() == "infeasible"
+
+    @pytest.mark.parametrize("write", INFEASIBLE_FILES)
+    @pytest.mark.parametrize("algo", ["auction", "gk"])
+    def test_traced_infeasible_run_writes_no_bid(
+        self, tmp_path, capsys, algo, write
+    ):
+        trace = tmp_path / "t.tsv"
+        rc = main(["solve", "--algo", algo, "--in", str(write(tmp_path)),
+                   "--trace", str(trace)])
+        assert rc == 1
+        assert capsys.readouterr().out.strip() == "infeasible"
+        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        assert digest == INFEASIBLE_TRACE_DIGEST
 
     def test_trace_files_from_both_solvers_are_identical(self, tmp_path, capsys):
         inst = write_g0(tmp_path)
