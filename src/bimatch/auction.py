@@ -9,10 +9,13 @@ shrinking geometrically, carrying prices across phases but starting each
 matching from scratch; at scaled ``eps == 1`` the result is exactly optimal.
 
 The bidding loop does not terminate when the instance has no covering
-matching.  So by default the driver rejects ``s > n`` and ``m < s`` up
-front, and phase 0 runs the Hopcroft-Karp precheck once it reaches
-``PRECHECK_STALL_BIDS * N`` bids; a finished phase 0 is a perfect matching,
-which needs no check.  The loop carries a generous step cap as a backstop.
+matching.  So by default the driver solves inside a
+:class:`~bimatch.feasibility.Precheck`, which rejects ``s > n`` and
+``m < s`` up front and owes the Hopcroft-Karp pass.  Phase 0's step guard
+(:func:`~bimatch.scaling.step_guard`) pays it once the phase reaches
+``PRECHECK_STALL_BIDS * N`` bids; a finished phase 0 is a perfect
+matching, which settles the precheck unpaid.  The guard also holds a
+generous step cap as a backstop.
 
 A bid usually does not need its full scan.  The loop keeps a candidate
 cache, one entry per person: the positions of the two smallest reduced
@@ -84,28 +87,21 @@ from math import inf
 from typing import Callable, Optional
 
 from .core import Matching, PriceVector, WeightedBipartiteGraph
-from .errors import (
-    DEADLINE_STRIDE,
-    InfeasibleInstanceError,
-    IterationLimitError,
-    SolveTimeout,
-    check_deadline,
-)
-from .feasibility import begin_precheck
+from .errors import check_deadline
+from .feasibility import Precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
-    PRECHECK_STALL_BIDS,
     CandidateCache,
     OrderedView,
+    check_alpha,
     check_persons_have_edges,
-    check_step,
     complete_row,
     eps_schedule,
     initial_eps,
     scale_graph,
     second_cost_sentinel_gap,
-    step_cap,
+    step_guard,
     weight_ordered_rows,
 )
 from .tracing import TraceEvent, TraceSink
@@ -172,19 +168,13 @@ def auction_phase(
     top, at_top = pmax, prices.count(pmax)
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
-    cap = step_cap(graph, pmax - min(prices), eps)
-    stall = cap if on_stall is None else min(cap, PRECHECK_STALL_BIDS * n)
-    probe = min(stall, cap if deadline is None else 0)
+    guard, probe = step_guard(
+        graph, pmax - min(prices), eps, deadline, "bidding phase", on_stall
+    )
     step = 0
     while queue:
         if step >= probe:
-            if step == stall and on_stall is not None:
-                on_stall()
-                on_stall, stall = None, cap
-            check_step(step, cap, eps, deadline, "bidding phase")
-            probe = min(
-                stall, cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
-            )
+            probe = guard(step)
         u = pop()
 
         entry = cache[u]
@@ -312,15 +302,15 @@ def eps_scaling_auction(
 
     Raises :class:`InfeasibleInstanceError` when no such matching exists;
     unless ``precheck`` is disabled, with the message of
-    :func:`~bimatch.feasibility.feasibility_precheck`, whose pass is
-    deferred as that module describes.  Unbalanced input is balanced by
+    :func:`~bimatch.feasibility.feasibility_precheck`, whose pass the
+    solve's :class:`~bimatch.feasibility.Precheck` defers.  ``alpha`` is
+    read as a :class:`Fraction` and must exceed 1, which is checked before
+    any other work.  Unbalanced input is balanced by
     :func:`build_reduction`: the column kernel, then the ``double``
     construction.
     """
-    check = None
-    if precheck:
-        check = begin_precheck(graph, defer=trace_sink is None)
-    try:
+    alpha = check_alpha(alpha)
+    with Precheck(graph, enabled=precheck, defer=trace_sink is None) as check:
         balanced = build_reduction(graph, deadline=deadline)
         check_deadline(deadline, "balancing reduction")
         scaled = scale_graph(balanced.graph)
@@ -339,9 +329,9 @@ def eps_scaling_auction(
                 deadline=deadline,
                 cache=cache,
                 view=view,
-                on_stall=check,
+                on_stall=check.owed,
             )
-            check = None  # a perfect matching: every right vertex is coverable
+            check.settle()  # a perfect matching: every right vertex is coverable
             if on_phase is not None:
                 on_phase(
                     PhaseSnapshot(
@@ -352,9 +342,5 @@ def eps_scaling_auction(
                         matching=matching.copy(),
                     )
                 )
-    except (InfeasibleInstanceError, SolveTimeout, IterationLimitError):
-        if check is not None:
-            check()
-        raise
     assert matching is not None
     return project_matching(balanced, matching)

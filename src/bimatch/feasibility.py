@@ -4,15 +4,18 @@ The bidding loop does not terminate when some right vertex is uncoverable,
 so the solvers screen instances.  Coverage is a pure cardinality question:
 is the maximum matching of the unweighted graph of size ``s``?
 
-A solve with the precheck on rejects ``s > n`` and ``m < s`` up front
-(:func:`begin_precheck`) and defers the matching.  The auction and gk run
-it when their first phase reaches ``PRECHECK_STALL_BIDS * N`` bids (see
-:mod:`bimatch.scaling`), or when an infeasibility error, a timeout or a
-step-cap error escapes before that phase finishes; a finished first phase
-is a perfect matching of the balanced graph, which certifies coverage.
-Hungarian runs it when an infeasibility error or a timeout escapes.  A
-traced solve runs the whole check up front, so an infeasible input writes
-no bid.
+A solve with the precheck on runs inside one :class:`Precheck`, which owns
+the matching pass.  It rejects ``s > n`` and ``m < s`` up front and defers
+the pass; a traced solve runs the pass up front too, so an infeasible
+input writes no bid.  The deferred pass runs at most once: when the first
+auction phase or gk refine reaches ``PRECHECK_STALL_BIDS * N`` bids (its
+:func:`~bimatch.scaling.step_guard` calls it), or when a timeout or a
+step-cap error leaves the solve while the pass is owed.  A finished first
+phase is a perfect matching of the balanced graph, which certifies
+coverage, so the auction and gk drivers then settle the precheck and owe
+nothing; Hungarian never settles it.  An infeasibility error that leaves
+the solve while the pass is owed is the solver's own proof, and gets the
+precheck's message with no pass.
 
 The maximum matching is found in pure Python, in two steps.  A greedy pass
 gives every left vertex its first free neighbour.  Hopcroft-Karp phases
@@ -30,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, NoReturn, Optional
 
 from .core import WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError
+from .errors import InfeasibleInstanceError, IterationLimitError, SolveTimeout
 
 
 def maximum_matching_size(graph: WeightedBipartiteGraph) -> int:
@@ -154,24 +157,60 @@ def feasibility_precheck(graph: WeightedBipartiteGraph) -> None:
         _reject(graph)
 
 
-def begin_precheck(
-    graph: WeightedBipartiteGraph, defer: bool = True
-) -> Optional[Callable[[], None]]:
-    """Start a solve's precheck: the O(1) rejections now, and the maximum
-    matching now too unless ``defer``.  Returns the check still owed, a call
-    that runs :func:`feasibility_precheck` at most once, or ``None``."""
-    if not defer:
-        feasibility_precheck(graph)
-        return None
-    if graph.s > graph.n or graph.m < graph.s:
-        _reject(graph)
-    owed = [graph]
+class Precheck:
+    """The precheck of one solve, as a context manager around it.
 
-    def check() -> None:
-        if owed:
-            feasibility_precheck(owed.pop())
+    Built with ``enabled``, it rejects ``s > n`` and ``m < s`` at once, and
+    runs :func:`feasibility_precheck` whole unless ``defer``; otherwise it
+    holds that pass as owed.  :attr:`owed` is the call that pays it, or
+    ``None`` once nothing is owed.  :meth:`settle` records a perfect
+    matching, which proves coverage, and drops the pass unpaid.
 
-    return check
+    A :class:`SolveTimeout` or :class:`IterationLimitError` that leaves
+    the block while the pass is owed pays it first, so on infeasible input
+    it becomes the precheck's error.  An :class:`InfeasibleInstanceError`
+    that leaves it while owed becomes the precheck's error with no pass,
+    because the solvers raise one only on their own proof that some right
+    vertex cannot be covered: a person or a right vertex with no edge,
+    fewer than ``s`` left vertices with one, or a Hungarian search that
+    dead-ends while its bound is still infinite, and so has followed every
+    alternating path.  The pass itself is no longer owed while it runs.
+    """
+
+    def __init__(
+        self, graph: WeightedBipartiteGraph, *, enabled: bool = True, defer: bool = True
+    ) -> None:
+        self._graph = graph
+        self._owed = enabled and defer
+        if not enabled:
+            return
+        if not defer:
+            feasibility_precheck(graph)
+        elif graph.s > graph.n or graph.m < graph.s:
+            _reject(graph)
+
+    def __enter__(self) -> Precheck:
+        return self
+
+    @property
+    def owed(self) -> Optional[Callable[[], None]]:
+        """The call that pays the owed pass, or ``None``."""
+        return self._pay if self._owed else None
+
+    def _pay(self) -> None:
+        if self._owed:
+            self._owed = False
+            feasibility_precheck(self._graph)
+
+    def settle(self) -> None:
+        """A perfect matching was found: nothing is owed any more."""
+        self._owed = False
+
+    def __exit__(self, kind: object, error: object, trace: object) -> None:
+        if self._owed and isinstance(error, InfeasibleInstanceError):
+            _reject(self._graph)
+        if isinstance(error, (SolveTimeout, IterationLimitError)):
+            self._pay()
 
 
 def _reject(graph: WeightedBipartiteGraph) -> NoReturn:

@@ -8,8 +8,10 @@ the unit to the best object, bounce the object's previous unit back to its
 old owner, and drop the object's price to ``p(u) + w(uv) - eps``.  The
 driver shrinks ``eps`` exactly like the bidding solver and shares its step
 ordering, which is what makes the two solvers' traces comparable.  It
-defers the feasibility precheck as the auction's driver does: refine 0
-runs it once it reaches ``PRECHECK_STALL_BIDS * N`` pushes.
+solves inside a :class:`~bimatch.feasibility.Precheck` as the auction's
+driver does: refine 0's step guard pays the owed Hopcroft-Karp pass once
+the round reaches ``PRECHECK_STALL_BIDS * N`` pushes, and a finished
+refine 0 settles it unpaid.
 
 A round keeps its pseudoflow and its object prices in three lists:
 ``owner[v]``, the person whose unit object ``v`` holds, ``owner_arc[v]``,
@@ -56,28 +58,21 @@ from math import inf
 from typing import Callable, Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import (
-    DEADLINE_STRIDE,
-    InfeasibleInstanceError,
-    IterationLimitError,
-    SolveTimeout,
-    check_deadline,
-)
-from .feasibility import begin_precheck
+from .errors import check_deadline
+from .feasibility import Precheck
 from .reduction import build_reduction, project_matching
 from .scaling import (
     DEFAULT_ALPHA,
-    PRECHECK_STALL_BIDS,
     CandidateCache,
     OrderedView,
+    check_alpha,
     check_persons_have_edges,
-    check_step,
     complete_row,
     eps_schedule,
     initial_eps,
     scale_graph,
     second_cost_sentinel_gap,
-    step_cap,
+    step_guard,
     weight_ordered_rows,
 )
 from .tracing import TraceEvent, TraceSink
@@ -237,19 +232,13 @@ def refine(
     top, at_top = pmax, objects.count(pmax)
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
-    cap = step_cap(g, pmax - min(objects), eps)
-    stall = cap if on_stall is None else min(cap, PRECHECK_STALL_BIDS * n)
-    probe = min(stall, cap if deadline is None else 0)
+    guard, probe = step_guard(
+        g, pmax - min(objects), eps, deadline, "refine", on_stall
+    )
     step = 0
     while queue:
         if step >= probe:
-            if step == stall and on_stall is not None:
-                on_stall()
-                on_stall, stall = None, cap
-            check_step(step, cap, eps, deadline, "refine")
-            probe = min(
-                stall, cap if deadline is None else min(cap, step + DEADLINE_STRIDE)
-            )
+            probe = guard(step)
         u = pop()
 
         entry = cache[u]
@@ -395,15 +384,15 @@ def goldberg_kennedy(
 
     Raises :class:`InfeasibleInstanceError` when no such matching exists;
     unless ``precheck`` is disabled, with the message of
-    :func:`~bimatch.feasibility.feasibility_precheck`, whose pass is
-    deferred as that module describes.  Unbalanced input is balanced by
+    :func:`~bimatch.feasibility.feasibility_precheck`, whose pass the
+    solve's :class:`~bimatch.feasibility.Precheck` defers.  ``alpha`` is
+    read as a :class:`Fraction` and must exceed 1, which is checked before
+    any other work.  Unbalanced input is balanced by
     :func:`build_reduction`: the column kernel, then the ``double``
     construction.
     """
-    check = None
-    if precheck:
-        check = begin_precheck(graph, defer=trace_sink is None)
-    try:
+    alpha = check_alpha(alpha)
+    with Precheck(graph, enabled=precheck, defer=trace_sink is None) as check:
         balanced = build_reduction(graph, deadline=deadline)
         check_deadline(deadline, "balancing reduction")
         scaled = scale_graph(balanced.graph)
@@ -424,9 +413,9 @@ def goldberg_kennedy(
                 check_identities=check_identities,
                 cache=cache,
                 view=view,
-                on_stall=check,
+                on_stall=check.owed,
             )
-            check = None  # a perfect matching: every right vertex is coverable
+            check.settle()  # a perfect matching: every right vertex is coverable
             if on_refine is not None:
                 on_refine(
                     RefineSnapshot(
@@ -438,8 +427,4 @@ def goldberg_kennedy(
                         matching=flow_to_matching(fi, flow),
                     )
                 )
-    except (InfeasibleInstanceError, SolveTimeout, IterationLimitError):
-        if check is not None:
-            check()
-        raise
     return project_matching(balanced, flow_to_matching(fi, flow))

@@ -67,13 +67,8 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .core import Matching, WeightedBipartiteGraph
-from .errors import (
-    DEADLINE_STRIDE,
-    InfeasibleInstanceError,
-    SolveTimeout,
-    check_deadline,
-)
-from .feasibility import begin_precheck
+from .errors import DEADLINE_STRIDE, InfeasibleInstanceError, check_deadline
+from .feasibility import Precheck
 
 # Bid budget of the augmenting row reduction, per right vertex.  Of 3, 4, 6,
 # 8 and 10, 8 left the fastest solves on random square graphs (n = 300 to
@@ -135,130 +130,119 @@ def hungarian(
 
     Raises :class:`InfeasibleInstanceError` when no such matching exists,
     surfacing as a dead-ended search or a right vertex with no edges.  With
-    ``precheck`` on, ``s > n`` and ``m < s`` are rejected up front, and the
-    Hopcroft-Karp pass of :mod:`bimatch.feasibility` runs only before an
-    infeasibility error or a timeout escapes, so on infeasible input either
-    one becomes the precheck's error.  ``validate_duals`` audits the three
-    invariants after the start and after every augmentation (slow; for
-    tests).
+    ``precheck`` on, the solve runs inside a
+    :class:`~bimatch.feasibility.Precheck`: ``s > n`` and ``m < s`` are
+    rejected up front, either of the solver's own proofs leaves with the
+    precheck's message and no Hopcroft-Karp pass, and a timeout runs that
+    pass first, so on infeasible input it too becomes the precheck's
+    error.  ``validate_duals`` audits the three invariants after the start
+    and after every augmentation (slow; for tests).
     """
-    check = begin_precheck(graph) if precheck else None
-    try:
-        return _solve(graph, deadline, validate_duals)
-    except (InfeasibleInstanceError, SolveTimeout):
-        if check is not None:
-            check()
-        raise
+    with Precheck(graph, enabled=precheck):
+        n, s = graph.n, graph.s
+        adj_u, adj_w = _right_adjacency(graph)
+        matching = Matching(n, s)
+        match_of_u, match_of_v = matching.match_of_u, matching.match_of_v
 
-
-def _solve(
-    graph: WeightedBipartiteGraph,
-    deadline: Optional[float],
-    validate_duals: bool,
-) -> Matching:
-    n, s = graph.n, graph.s
-    adj_u, adj_w = _right_adjacency(graph)
-    matching = Matching(n, s)
-    match_of_u, match_of_v = matching.match_of_u, matching.match_of_v
-
-    y_u = [0] * n
-    y_v = [0] * s
-    for v in range(s):
-        ws = adj_w[v]
-        if not ws:
-            raise InfeasibleInstanceError(f"right vertex {v} has no edges")
-        y_v[v] = low = min(ws)
-        for u, w in zip(adj_u[v], ws):
-            if w == low and match_of_u[u] is None:
-                match_of_u[u] = v
-                match_of_v[v] = u
-                break
-    check_deadline(deadline, "greedy start")
-
-    ordered = [False] * s
-    free = _augmenting_row_reduction(
-        adj_u, adj_w, ordered, y_u, y_v, matching,
-        [v for v in range(s) if match_of_v[v] is None], deadline,
-    )
-    if validate_duals:
-        _audit_duals(graph, y_u, y_v, matching)
-
-    # Search state kept across searches; each search resets what it touched.
-    # No settled flags are needed: reduced costs are nonnegative, so a
-    # settled vertex's distance is never beaten, and its stale heap entries
-    # fail the ``d == dist[u]`` test.
-    dist: list[float] = [INF] * n
-    pred_v = [-1] * n
-    steps = 0
-
-    for v0 in free:
-        heap: list[tuple[int, int]] = []
-        ub = INF  # least tentative distance of an unmatched left vertex
-        touched: list[int] = []
-        settled: list[int] = []  # matched, in pop order
-        v, d = v0, 0  # the root row, under the dual it already has
-        while True:
-            # Fan out row v, reached at distance d, until an entry's weight
-            # alone reaches past ub.
-            base = d - y_v[v]
-            if not ordered[v]:
-                _order_column(adj_u, adj_w, ordered, v)
-            limit = ub - base
-            for u2, w in zip(adj_u[v], adj_w[v]):
-                if w > limit:
+        y_u = [0] * n
+        y_v = [0] * s
+        for v in range(s):
+            ws = adj_w[v]
+            if not ws:
+                raise InfeasibleInstanceError(f"right vertex {v} has no edges")
+            y_v[v] = low = min(ws)
+            for u, w in zip(adj_u[v], ws):
+                if w == low and match_of_u[u] is None:
+                    match_of_u[u] = v
+                    match_of_v[v] = u
                     break
-                nd = base + w - y_u[u2]
-                if nd < dist[u2]:
-                    if dist[u2] == INF:
-                        touched.append(u2)
-                    dist[u2] = nd
-                    pred_v[u2] = v
-                    heappush(heap, (nd, u2))
-                    if nd < ub and match_of_u[u2] is None:
-                        ub = nd
-                        limit = ub - base
-            # Settle the nearest left vertex, then cross its tight matched
-            # edge into the next row.
-            while heap:
-                steps += 1
-                if steps % DEADLINE_STRIDE == 0:
-                    check_deadline(deadline, "augmenting search")
-                d, u = heappop(heap)
-                if d == dist[u]:
-                    break
-            else:
-                raise InfeasibleInstanceError(
-                    f"right vertex {v0} cannot be covered"
-                )
-            v = match_of_u[u]
-            if v is None:
-                break
-            settled.append(u)
+        check_deadline(deadline, "greedy start")
 
-        # Shift duals so the found path of length d becomes tight and
-        # reduced costs stay nonnegative everywhere; u itself keeps y_u = 0.
-        y_v[v0] += d
-        for u2 in settled:
-            shift = d - dist[u2]
-            y_u[u2] -= shift
-            y_v[match_of_u[u2]] += shift
-        for u2 in touched:
-            dist[u2] = INF
-
-        # Flip matched edges along the path from u, ending by covering v0.
-        while True:
-            v = pred_v[u]
-            prev_u = match_of_v[v]
-            match_of_u[u] = v
-            match_of_v[v] = u
-            if prev_u is None:
-                break
-            u = prev_u
-
+        ordered = [False] * s
+        free = _augmenting_row_reduction(
+            adj_u, adj_w, ordered, y_u, y_v, matching,
+            [v for v in range(s) if match_of_v[v] is None], deadline,
+        )
         if validate_duals:
             _audit_duals(graph, y_u, y_v, matching)
 
-    return matching
+        # Search state kept across searches; each search resets what it
+        # touched.  No settled flags are needed: reduced costs are
+        # nonnegative, so a settled vertex's distance is never beaten, and
+        # its stale heap entries fail the ``d == dist[u]`` test.
+        dist: list[float] = [INF] * n
+        pred_v = [-1] * n
+        steps = 0
+
+        for v0 in free:
+            heap: list[tuple[int, int]] = []
+            ub = INF  # least tentative distance of an unmatched left vertex
+            touched: list[int] = []
+            settled: list[int] = []  # matched, in pop order
+            v, d = v0, 0  # the root row, under the dual it already has
+            while True:
+                # Fan out row v, reached at distance d, until an entry's
+                # weight alone reaches past ub.
+                base = d - y_v[v]
+                if not ordered[v]:
+                    _order_column(adj_u, adj_w, ordered, v)
+                limit = ub - base
+                for u2, w in zip(adj_u[v], adj_w[v]):
+                    if w > limit:
+                        break
+                    nd = base + w - y_u[u2]
+                    if nd < dist[u2]:
+                        if dist[u2] == INF:
+                            touched.append(u2)
+                        dist[u2] = nd
+                        pred_v[u2] = v
+                        heappush(heap, (nd, u2))
+                        if nd < ub and match_of_u[u2] is None:
+                            ub = nd
+                            limit = ub - base
+                # Settle the nearest left vertex, then cross its tight
+                # matched edge into the next row.
+                while heap:
+                    steps += 1
+                    if steps % DEADLINE_STRIDE == 0:
+                        check_deadline(deadline, "augmenting search")
+                    d, u = heappop(heap)
+                    if d == dist[u]:
+                        break
+                else:
+                    raise InfeasibleInstanceError(
+                        f"right vertex {v0} cannot be covered"
+                    )
+                v = match_of_u[u]
+                if v is None:
+                    break
+                settled.append(u)
+
+            # Shift duals so the found path of length d becomes tight and
+            # reduced costs stay nonnegative everywhere; u itself keeps
+            # y_u = 0.
+            y_v[v0] += d
+            for u2 in settled:
+                shift = d - dist[u2]
+                y_u[u2] -= shift
+                y_v[match_of_u[u2]] += shift
+            for u2 in touched:
+                dist[u2] = INF
+
+            # Flip matched edges along the path from u, ending by covering v0.
+            while True:
+                v = pred_v[u]
+                prev_u = match_of_v[v]
+                match_of_u[u] = v
+                match_of_v[v] = u
+                if prev_u is None:
+                    break
+                u = prev_u
+
+            if validate_duals:
+                _audit_duals(graph, y_u, y_v, matching)
+
+        return matching
 
 
 def _augmenting_row_reduction(

@@ -14,10 +14,15 @@ from fractions import Fraction
 from itertools import repeat
 from math import inf
 from operator import mul
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import WeightedBipartiteGraph
-from .errors import InfeasibleInstanceError, IterationLimitError, check_deadline
+from .errors import (
+    DEADLINE_STRIDE,
+    InfeasibleInstanceError,
+    IterationLimitError,
+    check_deadline,
+)
 
 DEFAULT_ALPHA = Fraction(5)
 
@@ -32,13 +37,14 @@ def scale_graph(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     return replace(graph, adj_w=tuple(map(mul, graph.adj_w, repeat(k))))
 
 
-# A solve with the precheck on defers its Hopcroft-Karp pass: the first
-# phase (or refine) runs it once it reaches PRECHECK_STALL_BIDS bids per
-# balanced person, and resumes bidding if it passes.  First-phase bids per
-# person on the perfbench seed-1 draws: dense-square 1.04-1.13, ties-
-# unbalanced 1.16-1.19, sparse-square 1.69-2.47 (7 of 10 above 2).  So
-# dense and ties solves never run the pass, while an uncoverable input,
-# whose bidders fight without end, meets it after 2N bids.
+# A solve with the precheck on defers its Hopcroft-Karp pass: the step
+# guard of its first phase (or refine) pays it once the phase reaches
+# PRECHECK_STALL_BIDS bids per balanced person, and bidding resumes if it
+# passes.  First-phase bids per person on the perfbench seed-1 draws:
+# dense-square 1.04-1.13, ties-unbalanced 1.16-1.19, sparse-square
+# 1.69-2.47 (7 of 10 above 2).  So dense and ties solves never run the
+# pass, while an uncoverable input, whose bidders fight without end, meets
+# it after 2N bids.
 PRECHECK_STALL_BIDS = 2
 
 
@@ -158,6 +164,14 @@ def parse_alpha(text: str) -> Fraction:
     return alpha
 
 
+def check_alpha(alpha: Fraction) -> Fraction:
+    """``alpha`` as a :class:`Fraction`; ``ValueError`` unless it exceeds 1."""
+    alpha = Fraction(alpha)
+    if alpha <= 1:
+        raise ValueError("alpha must exceed 1")
+    return alpha
+
+
 def eps_schedule(start: int, alpha: Fraction = DEFAULT_ALPHA) -> Iterator[int]:
     """Yield the integer eps values 1st phase .. final phase.
 
@@ -165,8 +179,7 @@ def eps_schedule(start: int, alpha: Fraction = DEFAULT_ALPHA) -> Iterator[int]:
     yielded value is always exactly 1.  ``start <= 0`` (zero-weight graphs)
     degenerates to the single phase ``[1]``.
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    alpha = check_alpha(alpha)
     eps = max(1, start)
     while True:
         eps = max(1, eps * alpha.denominator // alpha.numerator)
@@ -193,33 +206,47 @@ def second_cost_sentinel_gap(max_abs_scaled_weight: int) -> int:
     return 2 * max_abs_scaled_weight + 1
 
 
-def step_cap(graph: WeightedBipartiteGraph, spread: int, eps: int) -> int:
-    """Defensive step cap for one phase at ``eps`` on ``graph``.
+def step_guard(
+    graph: WeightedBipartiteGraph,
+    spread: int,
+    eps: int,
+    deadline: Optional[float],
+    label: str,
+    on_stall: Optional[Callable[[], None]] = None,
+) -> tuple[Callable[[int], int], int]:
+    """The step guard of one bid loop phase at ``eps`` on ``graph``, and the
+    first step at which the loop consults it.
 
-    ``spread`` is the range of the object prices the phase starts from.  The
-    cap is far above any feasible phase's bid count; it exists to turn the
-    known infinite loop on uncoverable instances into an error.
+    ``spread`` is the range of the object prices the phase starts from.
+    The loop keeps the next step to consult as ``probe``, and on reaching
+    it sets ``probe = guard(step)``, so a bid pays only that compare.  The
+    guard is consulted at every multiple of :data:`DEADLINE_STRIDE` when a
+    deadline is set, at bid ``PRECHECK_STALL_BIDS * n`` when ``on_stall``
+    is given, and at the step cap.  It calls ``on_stall`` once, before that
+    bid; raises :class:`IterationLimitError` at the cap, which is far above
+    any feasible phase's bid count and turns the known infinite loop on
+    uncoverable instances into an error; and raises :class:`SolveTimeout`
+    once ``deadline`` has passed.
     """
-    return 10 * graph.n * max(1, graph.m) * (spread // eps + 2)
+    cap = 10 * graph.n * max(1, graph.m) * (spread // eps + 2)
+    # the next step the guard sees with or without a deadline: the stall
+    # call's, then the cap
+    stall = cap if on_stall is None else min(cap, PRECHECK_STALL_BIDS * graph.n)
 
+    def guard(step: int) -> int:
+        nonlocal on_stall, stall
+        if step == stall and on_stall is not None:
+            on_stall()
+            on_stall, stall = None, cap
+        if step >= cap:
+            raise IterationLimitError(
+                f"{label} exceeded {cap} steps at eps={eps}; "
+                "the instance is most likely infeasible"
+            )
+        check_deadline(deadline, f"{label} at eps={eps}")
+        return stall if deadline is None else min(stall, step + DEADLINE_STRIDE)
 
-def check_step(
-    step: int, cap: int, eps: int, deadline: Optional[float], label: str
-) -> None:
-    """Per-phase step guard shared by both bid loops.
-
-    A loop calls this only when ``step >= cap`` or, with a deadline set, when
-    ``step`` is a multiple of :data:`DEADLINE_STRIDE`, so no bid pays for
-    the call: it keeps the next such step as ``probe`` and pays one
-    ``step >= probe`` compare a bid.  Raises :class:`IterationLimitError`
-    at the cap and :class:`SolveTimeout` once ``deadline`` has passed.
-    """
-    if step >= cap:
-        raise IterationLimitError(
-            f"{label} exceeded {cap} steps at eps={eps}; "
-            "the instance is most likely infeasible"
-        )
-    check_deadline(deadline, f"{label} at eps={eps}")
+    return guard, stall if deadline is None else 0
 
 
 def check_persons_have_edges(graph: WeightedBipartiteGraph) -> None:

@@ -47,8 +47,9 @@ def solve(
     to it, and gk also checks its per-push price identities.  ``precheck``
     gives infeasible input the message of
     :func:`~bimatch.feasibility.feasibility_precheck`; each solver defers
-    its Hopcroft-Karp pass, and runs it only when the solve stalls or fails
-    before a first phase finishes (always, up front, when traced).
+    its Hopcroft-Karp pass, and runs it only when the solve stalls, or
+    times out or hits its step cap before a first phase finishes (always,
+    up front, when traced).
     """
     if trace_sink is not None:
         require_traced(algorithm)

@@ -1,25 +1,25 @@
 """The deferred feasibility precheck.
 
 With the precheck on, the solvers reject ``s > n`` and ``m < s`` up front
-and run the Hopcroft-Karp pass only when the first phase stalls, when the
-solve fails before a phase finishes, or when the solve is traced.  These
-tests count the passes, and check that deferring them changes no bid, no
-matching and no error.
+and run the Hopcroft-Karp pass only when the first phase stalls, when a
+timeout or the step cap ends the solve before a phase finishes, or when
+the solve is traced.  An infeasibility the solver proves itself gets the
+precheck's message with no pass.  These tests count the passes, and check
+that deferring them changes no bid, no matching and no error.
 """
 
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from bimatch import auction as auction_module
-from bimatch import feasibility
-from bimatch import gk as gk_module
+from bimatch import errors, feasibility, scaling
 from bimatch.auction import auction_phase, eps_scaling_auction
 from bimatch.core import build_graph
 from bimatch.errors import InfeasibleInstanceError, SolveTimeout
-from bimatch.feasibility import begin_precheck
+from bimatch.feasibility import Precheck
 from bimatch.gen import GenSpec, generate
 from bimatch.gk import goldberg_kennedy, refine, to_flow_instance
 from bimatch.scaling import scale_graph
@@ -43,8 +43,7 @@ def passes(monkeypatch):
 
 
 def set_stall_bids(monkeypatch, bids):
-    monkeypatch.setattr(auction_module, "PRECHECK_STALL_BIDS", bids)
-    monkeypatch.setattr(gk_module, "PRECHECK_STALL_BIDS", bids)
+    monkeypatch.setattr(scaling, "PRECHECK_STALL_BIDS", bids)
 
 
 def dense(n, seed):
@@ -99,10 +98,11 @@ def test_counts_reject_without_a_pass(passes, algo):
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_an_uncoverable_input_runs_the_pass_once(passes, algo):
+    """Hungarian runs none: its dead-ended search is a proof of its own."""
     g = INFEASIBLE["hall-violator"]
     with pytest.raises(InfeasibleInstanceError):
         solve(g, algo)
-    assert passes == [g]
+    assert passes == ([] if algo == "hungarian" else [g])
 
 
 @pytest.mark.parametrize("algo", TRACED_ALGORITHMS)
@@ -150,6 +150,25 @@ def test_a_stalled_first_phase_checks_once_and_bids_on(
     assert passes == [g]
 
 
+@pytest.mark.parametrize("solver", [eps_scaling_auction, goldberg_kennedy])
+def test_a_timeout_after_the_first_phase_runs_no_pass(monkeypatch, passes, solver):
+    """A finished first phase settles the precheck, so a deadline that
+    passes only after it leaves the pass unpaid."""
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: clock.now))
+    finished = []
+
+    def expire(snapshot):
+        finished.append(snapshot)
+        clock.now = 2.0
+
+    key = "on_phase" if solver is eps_scaling_auction else "on_refine"
+    with pytest.raises(SolveTimeout, match="at eps=.* hit the deadline"):
+        solver(dense(60, 7), deadline=1.0, **{key: expire})
+    assert len(finished) == 1
+    assert passes == []
+
+
 def test_precheck_off_never_runs_the_pass(monkeypatch, passes):
     set_stall_bids(monkeypatch, 0)
     g = dense(40, 3)
@@ -190,16 +209,21 @@ def test_the_stall_call_comes_before_bid_2n(phase, deadline):
 
 def test_the_owed_check_runs_at_most_once(passes):
     g = INFEASIBLE["hall-violator"]
-    check = begin_precheck(g)
-    assert passes == []
-    with pytest.raises(InfeasibleInstanceError):
-        check()
-    check()
+    with pytest.raises(SolveTimeout):
+        with Precheck(g) as precheck:
+            check = precheck.owed
+            assert passes == []
+            with pytest.raises(InfeasibleInstanceError):
+                check()
+            check()
+            assert precheck.owed is None
+            raise SolveTimeout("after the pass")
     assert passes == [g]
 
 
 def test_an_undeferred_precheck_runs_now(passes):
-    assert begin_precheck(g0(), defer=False) is None
+    with Precheck(g0(), defer=False) as precheck:
+        assert precheck.owed is None
     assert len(passes) == 1
     with pytest.raises(InfeasibleInstanceError):
-        begin_precheck(INFEASIBLE["hall-violator"], defer=False)
+        Precheck(INFEASIBLE["hall-violator"], defer=False)

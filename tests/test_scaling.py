@@ -264,7 +264,7 @@ class TestStepGuard:
         run_bid_loop(module, self.GRAPH, deadline=1.0, trace_sink=events)
         assert len(events) > 1
         clock.now = 0.0
-        monkeypatch.setattr(module, "DEADLINE_STRIDE", 1)
+        monkeypatch.setattr(scaling, "DEADLINE_STRIDE", 1)
         events = Expiring()
         with pytest.raises(SolveTimeout, match="at eps=1 hit the deadline"):
             run_bid_loop(module, self.GRAPH, deadline=1.0, trace_sink=events)
@@ -273,12 +273,17 @@ class TestStepGuard:
     def test_the_guard_runs_at_each_stride_and_nowhere_else(self, monkeypatch, module):
         steps: list[int] = []
 
-        def recording(step, *args):
-            steps.append(step)
-            scaling.check_step(step, *args)
+        def recording(*args):
+            guard, probe = scaling.step_guard(*args)
 
-        monkeypatch.setattr(module, "check_step", recording)
-        monkeypatch.setattr(module, "DEADLINE_STRIDE", 2)
+            def recorded(step):
+                steps.append(step)
+                return guard(step)
+
+            return recorded, probe
+
+        monkeypatch.setattr(module, "step_guard", recording)
+        monkeypatch.setattr(scaling, "DEADLINE_STRIDE", 2)
         events: list = []
         run_bid_loop(module, self.GRAPH, trace_sink=events)
         assert steps == []

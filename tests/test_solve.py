@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+from bimatch import auction, feasibility, gk
 from bimatch.core import Matching, build_graph
 from bimatch.errors import InfeasibleInstanceError
-from bimatch.solve import ALGORITHMS, solve, verify_solution
+from bimatch.solve import ALGORITHMS, TRACED_ALGORITHMS, solve, verify_solution
 
 from conftest import complete_graph, g0, random_feasible_graphs
 
@@ -41,6 +44,34 @@ class TestSolve:
     def test_tracing_hungarian_is_an_error(self):
         with pytest.raises(ValueError, match="tracing applies"):
             solve(g0(), "hungarian", trace_sink=[])
+
+
+    @pytest.mark.parametrize("algo", TRACED_ALGORITHMS)
+    def test_a_float_alpha_solves_as_its_fraction(self, algo):
+        g = next(random_feasible_graphs(1104, 1, max_n=8))
+        runs = []
+        for alpha in (2.5, Fraction(5, 2)):
+            events: list = []
+            result = solve(g, algo, alpha=alpha, trace_sink=events)
+            runs.append((result.weight, result.matching.pairs(), events))
+        assert runs[0] == runs[1]
+        assert runs[0][2]
+
+    @pytest.mark.parametrize(
+        "algo, module", [("auction", auction), ("gk", gk)], ids=["auction", "gk"]
+    )
+    def test_an_alpha_of_one_fails_before_any_work(self, monkeypatch, algo, module):
+        work = []
+        monkeypatch.setattr(
+            module, "build_reduction", lambda *args, **kw: work.append("reduction")
+        )
+        monkeypatch.setattr(
+            feasibility, "maximum_matching_size", lambda g: work.append("pass")
+        )
+        for sink in (None, []):
+            with pytest.raises(ValueError, match="alpha must exceed 1"):
+                solve(g0(), algo, alpha=Fraction(1), trace_sink=sink)
+        assert work == []
 
 
 class TestVerifySolution:
