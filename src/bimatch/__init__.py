@@ -31,16 +31,17 @@ from .reduction import (
 )
 from .scaling import eps_schedule, scale_graph
 from .solve import SolveResult, solve, verify_solution
-from .tracing import TraceEvent, compare_traces, record_trace
 
 __version__ = "0.1.0"
 
 # Names resolved on first use (PEP 562), by the module that defines them.
 # The generators need numpy, so importing the package, and solving with it,
-# loads only the standard library; gk and the brute-force oracle are loaded
-# only by the runs that use them.  ``hungarian`` and ``solve`` cannot be
-# lazy: each shares its name with its submodule, and importing the submodule
-# would rebind the package attribute to the module.
+# loads only the standard library; gk, tracing and the brute-force oracle
+# are loaded only by the runs that use them, so an untraced auction or
+# Hungarian solve loads neither, and no solve loads ``dataclasses``.
+# ``hungarian`` and ``solve`` cannot be lazy: each shares its name with its
+# submodule, and importing the submodule would rebind the package attribute
+# to the module.
 _LAZY = {
     "GenSpec": "gen",
     "assign_low_or_high": "gen",
@@ -54,6 +55,9 @@ _LAZY = {
     "refine": "gk",
     "to_flow_instance": "gk",
     "brute_force_optimum": "oracle",
+    "TraceEvent": "tracing",
+    "compare_traces": "tracing",
+    "record_trace": "tracing",
 }
 
 

@@ -81,12 +81,11 @@ same path as a solve.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .core import Matching, PriceVector, WeightedBipartiteGraph
+from .core import Matching, PriceVector, Record, WeightedBipartiteGraph
 from .errors import check_deadline
 from .feasibility import Precheck
 from .reduction import build_reduction, project_matching
@@ -104,19 +103,31 @@ from .scaling import (
     step_guard,
     weight_ordered_rows,
 )
-from .tracing import TraceEvent, TraceSink
+
+if TYPE_CHECKING:  # tracing is loaded by traced runs only
+    from .tracing import TraceSink
 
 
-@dataclass(frozen=True)
-class PhaseSnapshot:
+class PhaseSnapshot(Record):
     """State after one completed phase: the matching it built and the
     prices it left behind, both on the scaled balanced graph."""
 
+    _fields = __slots__ = ("phase_index", "eps", "graph", "prices", "matching")
     phase_index: int
     eps: int
     graph: WeightedBipartiteGraph
     prices: PriceVector
     matching: Matching
+
+    def __init__(
+        self,
+        phase_index: int,
+        eps: int,
+        graph: WeightedBipartiteGraph,
+        prices: PriceVector,
+        matching: Matching,
+    ):
+        self._set(phase_index, eps, graph, prices, matching)
 
 
 PhaseCallback = Callable[[PhaseSnapshot], None]
@@ -154,6 +165,8 @@ def auction_phase(
     off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
     sentinel_gap = second_cost_sentinel_gap(graph.max_abs_weight)
     check_persons_have_edges(graph)
+    if trace_sink is not None:
+        from .tracing import TraceEvent
 
     owner: list[Optional[int]] = [None] * s
     if cache is None:

@@ -18,7 +18,6 @@ from .core import read_instance, write_instance
 from .errors import InfeasibleInstanceError
 from .scaling import parse_alpha
 from .solve import ALGORITHMS, require_traced, solve
-from .tracing import TraceFileWriter, compare_trace_files
 
 _EDGE_MODEL_BY_FLAG = {"er": "erdos_renyi", "dd": "dispersed_degree"}
 _WEIGHT_MODEL_BY_FLAG = {
@@ -101,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # ``gen`` and ``bench`` import their modules when they run: both need numpy,
 # which ``solve``, ``verify`` and ``trace-diff`` should not pay to load.
 # ``verify`` imports the brute-force oracle the same way, since no other
-# command uses it.
+# command uses it, and only ``solve --trace`` and ``trace-diff`` load the
+# tracing module.
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -129,6 +129,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace is None:
         trace_file = nullcontext()
     else:
+        from .tracing import TraceFileWriter
+
         require_traced(args.algo)  # before the file is opened and truncated
         trace_file = open(args.trace, "w", encoding="ascii", newline="\n")
     with trace_file as trace_fh:
@@ -184,6 +186,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
+    from .tracing import compare_trace_files
+
     divergence = compare_trace_files(args.left, args.right)
     if divergence is None:
         print("identical")

@@ -22,9 +22,7 @@ pass.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from operator import lt
 from pathlib import Path
@@ -36,8 +34,50 @@ Edge = tuple[int, int, int]
 PriceVector = list[int]
 
 
-@dataclass(frozen=True)
-class WeightedBipartiteGraph:
+class Record:
+    """Base of the package's small immutable records.
+
+    A subclass names its fields in ``_fields`` (a prefix of its
+    ``__slots__``) and sets them in ``__init__`` through :meth:`_set`.
+    ``==``, ``hash``, ``repr`` and pickling see those fields only, in that
+    order, and assigning or deleting an attribute raises
+    ``AttributeError``: the behaviour of a frozen dataclass, without the
+    import of :mod:`dataclasses` on every solve.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{k}={getattr(self, k)!r}" for k in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class WeightedBipartiteGraph(Record):
     """Immutable instance in compressed adjacency form.
 
     ``adj_off[u]:adj_off[u+1]`` slices ``adj_v``/``adj_w`` into the neighbor
@@ -46,21 +86,39 @@ class WeightedBipartiteGraph:
     on it.
 
     ``m`` and ``max_abs_weight`` are derived from the adjacency arrays, not
-    fields: ``==``, ``hash`` and :func:`dataclasses.replace` see only the
-    five fields, so a replaced ``adj_w`` brings its own maximum.
+    fields: ``==`` and ``hash`` see only the five fields, and a graph built
+    with another ``adj_w`` computes its own maximum.
     """
 
+    _fields = ("n", "s", "adj_off", "adj_v", "adj_w")
+    __slots__ = _fields + ("_max_abs_weight",)
     n: int
     s: int
     adj_off: tuple[int, ...]
     adj_v: tuple[int, ...]
     adj_w: tuple[int, ...]
 
-    @cached_property
+    def __init__(
+        self,
+        n: int,
+        s: int,
+        adj_off: tuple[int, ...],
+        adj_v: tuple[int, ...],
+        adj_w: tuple[int, ...],
+    ):
+        self._set(n, s, adj_off, adj_v, adj_w)
+
+    @property
     def max_abs_weight(self) -> int:
         """Largest ``|w|`` over all edges, 0 when there are none: the C of
         the O(nm log(nC)) bounds.  Computed on first use, then cached."""
-        return max(max(self.adj_w, default=0), -min(self.adj_w, default=0))
+        try:
+            return self._max_abs_weight
+        except AttributeError:
+            w = self.adj_w
+            top = max(max(w, default=0), -min(w, default=0))
+            object.__setattr__(self, "_max_abs_weight", top)
+            return top
 
     @property
     def m(self) -> int:

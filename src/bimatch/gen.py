@@ -35,7 +35,7 @@ its draws one vertex at a time, in the same order as ever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -184,7 +184,9 @@ def _reweight(
     graph: WeightedBipartiteGraph, weights: np.ndarray
 ) -> WeightedBipartiteGraph:
     # Adjacency arrays are already sorted; swap the weight column.
-    return replace(graph, adj_w=tuple(weights.tolist()))
+    return WeightedBipartiteGraph(
+        graph.n, graph.s, graph.adj_off, graph.adj_v, tuple(weights.tolist())
+    )
 
 
 def assign_uniform_weights(

@@ -51,13 +51,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import inf
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .core import Matching, WeightedBipartiteGraph
+from .core import Matching, Record, WeightedBipartiteGraph
 from .errors import check_deadline
 from .feasibility import Precheck
 from .reduction import build_reduction, project_matching
@@ -75,11 +74,12 @@ from .scaling import (
     step_guard,
     weight_ordered_rows,
 )
-from .tracing import TraceEvent, TraceSink
+
+if TYPE_CHECKING:  # tracing is loaded by traced runs only
+    from .tracing import TraceSink
 
 
-@dataclass(frozen=True)
-class FlowInstance:
+class FlowInstance(Record):
     """Unit-capacity flow view of a balanced graph.
 
     Node ``x < n`` is person ``x`` (supply +1); node ``n + v`` is object
@@ -89,7 +89,11 @@ class FlowInstance:
     an arc's tail is ``bisect_right(adj_off, a) - 1``.
     """
 
+    _fields = __slots__ = ("graph",)
     graph: WeightedBipartiteGraph
+
+    def __init__(self, graph: WeightedBipartiteGraph):
+        self._set(graph)
 
     @property
     def n_nodes(self) -> int:
@@ -160,16 +164,29 @@ def flow_to_matching(fi: FlowInstance, flow: list[int]) -> Matching:
     return matching
 
 
-@dataclass(frozen=True)
-class RefineSnapshot:
+class RefineSnapshot(Record):
     """State at the end of one refine round, on the scaled balanced graph."""
 
+    _fields = __slots__ = (
+        "refine_index", "eps", "instance", "flow", "prices", "matching"
+    )
     refine_index: int
     eps: int
     instance: FlowInstance
     flow: list[int]
     prices: list[int]
     matching: Matching
+
+    def __init__(
+        self,
+        refine_index: int,
+        eps: int,
+        instance: FlowInstance,
+        flow: list[int],
+        prices: list[int],
+        matching: Matching,
+    ):
+        self._set(refine_index, eps, instance, flow, prices, matching)
 
 
 RefineCallback = Callable[[RefineSnapshot], None]
@@ -215,6 +232,8 @@ def refine(
     off, adj_v, adj_w = g.adj_off, g.adj_v, g.adj_w
     sentinel_gap = second_cost_sentinel_gap(g.max_abs_weight)
     check_persons_have_edges(g)
+    if trace_sink is not None:
+        from .tracing import TraceEvent
 
     # No per-round person price reset: first double pushes overwrite it unread.
     owner: list[Optional[int]] = [None] * s

@@ -42,16 +42,14 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Optional
 
-from .core import Matching, WeightedBipartiteGraph
+from .core import Matching, Record, WeightedBipartiteGraph
 from .errors import InfeasibleInstanceError, check_deadline
 
 
-@dataclass(frozen=True)
-class BalancedReduction:
+class BalancedReduction(Record):
     """A balanced graph plus the recipe to project matchings back.
 
     ``orig_n`` and ``orig_s`` are the shape of the graph the reduction was
@@ -60,10 +58,20 @@ class BalancedReduction:
     field: it follows from that shape on every read.
     """
 
+    _fields = __slots__ = ("graph", "orig_n", "orig_s", "persons")
     graph: WeightedBipartiteGraph
     orig_n: int
     orig_s: int
-    persons: Optional[tuple[int, ...]] = None
+    persons: Optional[tuple[int, ...]]
+
+    def __init__(
+        self,
+        graph: WeightedBipartiteGraph,
+        orig_n: int,
+        orig_s: int,
+        persons: Optional[tuple[int, ...]] = None,
+    ):
+        self._set(graph, orig_n, orig_s, persons)
 
     @property
     def kind(self) -> str:

@@ -9,7 +9,6 @@ a whole unit).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
 from math import inf
@@ -34,7 +33,13 @@ def scale_factor(graph: WeightedBipartiteGraph) -> int:
 def scale_graph(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     """Same structure, every weight multiplied by ``n + 1``."""
     k = scale_factor(graph)
-    return replace(graph, adj_w=tuple(map(mul, graph.adj_w, repeat(k))))
+    return WeightedBipartiteGraph(
+        graph.n,
+        graph.s,
+        graph.adj_off,
+        graph.adj_v,
+        tuple(map(mul, graph.adj_w, repeat(k))),
+    )
 
 
 # A solve with the precheck on defers its Hopcroft-Karp pass: the step
@@ -165,7 +170,10 @@ def parse_alpha(text: str) -> Fraction:
 
 
 def check_alpha(alpha: Fraction) -> Fraction:
-    """``alpha`` as a :class:`Fraction`; ``ValueError`` unless it exceeds 1."""
+    """``alpha`` as a :class:`Fraction`; ``ValueError`` unless it is finite
+    and exceeds 1."""
+    if alpha != alpha or alpha in (inf, -inf):  # nan, or an infinite number
+        raise ValueError(f"alpha must be finite, got {alpha}")
     alpha = Fraction(alpha)
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")

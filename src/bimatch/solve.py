@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .auction import eps_scaling_auction
-from .core import Matching, WeightedBipartiteGraph, matching_weight, validate_matching
+from .core import (
+    Matching,
+    Record,
+    WeightedBipartiteGraph,
+    matching_weight,
+    validate_matching,
+)
 from .hungarian import hungarian
 from .scaling import DEFAULT_ALPHA
-from .tracing import TraceSink
+
+if TYPE_CHECKING:  # tracing is loaded by traced runs only
+    from .tracing import TraceSink
 
 ALGORITHMS = ("auction", "gk", "hungarian")
 TRACED_ALGORITHMS = ("auction", "gk")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
+    _fields = __slots__ = ("matching", "weight")
     matching: Matching
     weight: int
+
+    def __init__(self, matching: Matching, weight: int):
+        self._set(matching, weight)
 
 
 def require_traced(algorithm: str) -> None:

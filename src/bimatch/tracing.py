@@ -22,6 +22,7 @@ from typing import IO, Iterable, Iterator, Optional, Protocol
 
 from .core import WeightedBipartiteGraph
 from .scaling import DEFAULT_ALPHA
+from .solve import solve
 
 _COLUMNS = (
     "phase",
@@ -156,8 +157,6 @@ def record_trace(
 
     A traced ``gk`` solve also certifies the per-step price identities.
     """
-    from .solve import solve  # solve imports this module
-
     events: list[TraceEvent] = []
     result = solve(graph, algorithm, alpha=alpha, trace_sink=events)
     return events, result.weight

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 NUMERIC = "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)"
@@ -51,6 +53,39 @@ def test_solve_verify_and_trace_diff_load_neither(tmp_path):
         f"print(codes, {NUMERIC})\n"
     )
     assert run_python(code).splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+@pytest.mark.parametrize("algo", ["auction", "gk", "hungarian"])
+def test_an_untraced_solve_loads_neither_tracing_nor_dataclasses(tmp_path, algo):
+    inst = tmp_path / "g.txt"
+    inst.write_text("3 2 4\n0 0 1\n1 0 3\n1 1 2\n2 1 1\n")
+    # ``dataclasses`` counts only when the interpreter had not loaded it
+    # before bimatch: some site set-ups import it at start-up.
+    code = (
+        "import sys\n"
+        "late = ['bimatch.tracing']"
+        " + ([] if 'dataclasses' in sys.modules else ['dataclasses'])\n"
+        "from bimatch.cli import main\n"
+        f"code = main(['solve', '--algo', {algo!r}, '--in', {str(inst)!r}])\n"
+        "print(code, [m for m in late if m in sys.modules])\n"
+    )
+    assert run_python(code).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("algo", ["auction", "gk"])
+def test_a_traced_solve_loads_tracing(tmp_path, algo):
+    inst = tmp_path / "g.txt"
+    inst.write_text("2 2 4\n0 0 1\n0 1 3\n1 0 2\n1 1 1\n")
+    trace = tmp_path / "t.tsv"
+    code = (
+        "import sys\n"
+        "from bimatch.cli import main\n"
+        f"code = main(['solve', '--algo', {algo!r}, '--in', {str(inst)!r},"
+        f" '--trace', {str(trace)!r}])\n"
+        "print(code, 'bimatch.tracing' in sys.modules)\n"
+    )
+    assert run_python(code).splitlines()[-1] == "0 True"
+    assert trace.read_text().startswith("# phase\t")
 
 
 def test_generator_names_resolve_lazily():
@@ -100,7 +135,7 @@ def test_lazy_names_are_the_objects_their_modules_define():
         "unlisted = sorted(set(bimatch._LAZY) - set(dir(bimatch)))\n"
         "print(len(bimatch._LAZY), wrong, unlisted)\n"
     )
-    assert run_python(code) == "12 [] []"
+    assert run_python(code) == "15 [] []"
 
 
 def test_solve_and_hungarian_stay_functions_after_each_solver_runs():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
 
@@ -71,6 +72,26 @@ class TestSolve:
         for sink in (None, []):
             with pytest.raises(ValueError, match="alpha must exceed 1"):
                 solve(g0(), algo, alpha=Fraction(1), trace_sink=sink)
+        assert work == []
+
+    @pytest.mark.parametrize("alpha", [inf, -inf, nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "algo, module", [("auction", auction), ("gk", gk)], ids=["auction", "gk"]
+    )
+    def test_a_non_finite_alpha_fails_before_any_work(
+        self, monkeypatch, algo, module, alpha
+    ):
+        work = []
+        monkeypatch.setattr(
+            module, "build_reduction", lambda *args, **kw: work.append("reduction")
+        )
+        monkeypatch.setattr(
+            feasibility, "maximum_matching_size", lambda g: work.append("pass")
+        )
+        message = f"^alpha must be finite, got {alpha}$"
+        for sink in (None, []):
+            with pytest.raises(ValueError, match=message):
+                solve(g0(), algo, alpha=alpha, trace_sink=sink)
         assert work == []
 
 
