@@ -83,9 +83,9 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import inf
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .core import Matching, PriceVector, Record, WeightedBipartiteGraph
+from .core import Matching, PriceVector, WeightedBipartiteGraph
 from .errors import check_deadline
 from .feasibility import Precheck
 from .reduction import build_reduction, project_matching
@@ -108,26 +108,15 @@ if TYPE_CHECKING:  # tracing is loaded by traced runs only
     from .tracing import TraceSink
 
 
-class PhaseSnapshot(Record):
+class PhaseSnapshot(NamedTuple):
     """State after one completed phase: the matching it built and the
     prices it left behind, both on the scaled balanced graph."""
 
-    _fields = __slots__ = ("phase_index", "eps", "graph", "prices", "matching")
     phase_index: int
     eps: int
     graph: WeightedBipartiteGraph
     prices: PriceVector
     matching: Matching
-
-    def __init__(
-        self,
-        phase_index: int,
-        eps: int,
-        graph: WeightedBipartiteGraph,
-        prices: PriceVector,
-        matching: Matching,
-    ):
-        self._set(phase_index, eps, graph, prices, matching)
 
 
 PhaseCallback = Callable[[PhaseSnapshot], None]

@@ -109,6 +109,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if any(n < 1 for n in self.n_values):
+            raise ValueError("config key 'n_values' must hold sizes of at least 1")
         # An empty axis expands to no jobs: a run that times nothing.
         for key in (
             "edge_models",

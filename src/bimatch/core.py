@@ -5,7 +5,10 @@ right vertices ``0..s-1`` (objects) and integer edge weights.  Adjacency is
 stored compressed (offsets plus contiguous neighbor/weight arrays) because
 the solvers' inner loops are linear scans over one vertex's edges.  Graphs
 are immutable after construction; matchings and price vectors are plain
-mutable state owned by one solver run at a time.
+mutable state owned by one solver run at a time.  The package's other
+records (a reduction, a solve's result, gk's flow instance, the solvers'
+snapshots) are ``typing.NamedTuple`` classes: frozen, compared, hashed and
+pickled by their fields, without loading :mod:`dataclasses` on a solve.
 
 Facts that an object's own data already holds are computed, not stored, so
 no producer restates them and no caller can set them out of step: a graph's
@@ -34,26 +37,43 @@ Edge = tuple[int, int, int]
 PriceVector = list[int]
 
 
-class Record:
-    """Base of the package's small immutable records.
+class WeightedBipartiteGraph:
+    """Immutable instance in compressed adjacency form.
 
-    A subclass names its fields in ``_fields`` (a prefix of its
-    ``__slots__``) and sets them in ``__init__`` through :meth:`_set`.
-    ``==``, ``hash``, ``repr`` and pickling see those fields only, in that
-    order, and assigning or deleting an attribute raises
-    ``AttributeError``: the behaviour of a frozen dataclass, without the
-    import of :mod:`dataclasses` on every solve.
+    ``adj_off[u]:adj_off[u+1]`` slices ``adj_v``/``adj_w`` into the neighbor
+    list of left vertex ``u``, sorted by right index ascending.  The sort
+    order is load-bearing: deterministic tie-breaking in every solver rests
+    on it.
+
+    ``m`` and ``max_abs_weight`` are derived from the adjacency arrays, not
+    fields: ``==`` and ``hash`` see only the five fields, and a graph built
+    with another ``adj_w`` computes its own maximum.  The cached maximum
+    needs a slot, which a tuple subclass cannot have, so unlike the other
+    records the graph is not a ``NamedTuple``: it spells out the frozen
+    dataclass behaviour itself.
     """
 
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    _fields = ("n", "s", "adj_off", "adj_v", "adj_w")
+    __slots__ = _fields + ("_max_abs_weight",)
+    n: int
+    s: int
+    adj_off: tuple[int, ...]
+    adj_v: tuple[int, ...]
+    adj_w: tuple[int, ...]
 
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
+    def __init__(
+        self,
+        n: int,
+        s: int,
+        adj_off: tuple[int, ...],
+        adj_v: tuple[int, ...],
+        adj_w: tuple[int, ...],
+    ):
+        for name, value in zip(self._fields, (n, s, adj_off, adj_v, adj_w)):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return self.n, self.s, self.adj_off, self.adj_v, self.adj_w
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -75,38 +95,6 @@ class Record:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
-
-
-class WeightedBipartiteGraph(Record):
-    """Immutable instance in compressed adjacency form.
-
-    ``adj_off[u]:adj_off[u+1]`` slices ``adj_v``/``adj_w`` into the neighbor
-    list of left vertex ``u``, sorted by right index ascending.  The sort
-    order is load-bearing: deterministic tie-breaking in every solver rests
-    on it.
-
-    ``m`` and ``max_abs_weight`` are derived from the adjacency arrays, not
-    fields: ``==`` and ``hash`` see only the five fields, and a graph built
-    with another ``adj_w`` computes its own maximum.
-    """
-
-    _fields = ("n", "s", "adj_off", "adj_v", "adj_w")
-    __slots__ = _fields + ("_max_abs_weight",)
-    n: int
-    s: int
-    adj_off: tuple[int, ...]
-    adj_v: tuple[int, ...]
-    adj_w: tuple[int, ...]
-
-    def __init__(
-        self,
-        n: int,
-        s: int,
-        adj_off: tuple[int, ...],
-        adj_v: tuple[int, ...],
-        adj_w: tuple[int, ...],
-    ):
-        self._set(n, s, adj_off, adj_v, adj_w)
 
     @property
     def max_abs_weight(self) -> int:

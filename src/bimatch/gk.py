@@ -54,9 +54,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import compress
 from math import inf
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .core import Matching, Record, WeightedBipartiteGraph
+from .core import Matching, WeightedBipartiteGraph
 from .errors import check_deadline
 from .feasibility import Precheck
 from .reduction import build_reduction, project_matching
@@ -79,7 +79,7 @@ if TYPE_CHECKING:  # tracing is loaded by traced runs only
     from .tracing import TraceSink
 
 
-class FlowInstance(Record):
+class FlowInstance(NamedTuple):
     """Unit-capacity flow view of a balanced graph.
 
     Node ``x < n`` is person ``x`` (supply +1); node ``n + v`` is object
@@ -89,11 +89,7 @@ class FlowInstance(Record):
     an arc's tail is ``bisect_right(adj_off, a) - 1``.
     """
 
-    _fields = __slots__ = ("graph",)
     graph: WeightedBipartiteGraph
-
-    def __init__(self, graph: WeightedBipartiteGraph):
-        self._set(graph)
 
     @property
     def n_nodes(self) -> int:
@@ -164,29 +160,15 @@ def flow_to_matching(fi: FlowInstance, flow: list[int]) -> Matching:
     return matching
 
 
-class RefineSnapshot(Record):
+class RefineSnapshot(NamedTuple):
     """State at the end of one refine round, on the scaled balanced graph."""
 
-    _fields = __slots__ = (
-        "refine_index", "eps", "instance", "flow", "prices", "matching"
-    )
     refine_index: int
     eps: int
     instance: FlowInstance
     flow: list[int]
     prices: list[int]
     matching: Matching
-
-    def __init__(
-        self,
-        refine_index: int,
-        eps: int,
-        instance: FlowInstance,
-        flow: list[int],
-        prices: list[int],
-        matching: Matching,
-    ):
-        self._set(refine_index, eps, instance, flow, prices, matching)
 
 
 RefineCallback = Callable[[RefineSnapshot], None]

@@ -43,13 +43,13 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from itertools import accumulate, chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import Matching, Record, WeightedBipartiteGraph
+from .core import Matching, WeightedBipartiteGraph
 from .errors import InfeasibleInstanceError, check_deadline
 
 
-class BalancedReduction(Record):
+class BalancedReduction(NamedTuple):
     """A balanced graph plus the recipe to project matchings back.
 
     ``orig_n`` and ``orig_s`` are the shape of the graph the reduction was
@@ -58,20 +58,10 @@ class BalancedReduction(Record):
     field: it follows from that shape on every read.
     """
 
-    _fields = __slots__ = ("graph", "orig_n", "orig_s", "persons")
     graph: WeightedBipartiteGraph
     orig_n: int
     orig_s: int
-    persons: Optional[tuple[int, ...]]
-
-    def __init__(
-        self,
-        graph: WeightedBipartiteGraph,
-        orig_n: int,
-        orig_s: int,
-        persons: Optional[tuple[int, ...]] = None,
-    ):
-        self._set(graph, orig_n, orig_s, persons)
+    persons: Optional[tuple[int, ...]] = None
 
     @property
     def kind(self) -> str:

@@ -164,9 +164,7 @@ def parse_alpha(text: str) -> Fraction:
         alpha = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse scaling factor {text!r}") from None
-    if alpha <= 1:
-        raise ValueError(f"scaling factor must exceed 1, got {alpha}")
-    return alpha
+    return check_alpha(alpha)
 
 
 def check_alpha(alpha: Fraction) -> Fraction:
@@ -174,10 +172,10 @@ def check_alpha(alpha: Fraction) -> Fraction:
     and exceeds 1."""
     if alpha != alpha or alpha in (inf, -inf):  # nan, or an infinite number
         raise ValueError(f"alpha must be finite, got {alpha}")
-    alpha = Fraction(alpha)
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    return alpha
+    value = Fraction(alpha)
+    if value <= 1:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    return value
 
 
 def eps_schedule(start: int, alpha: Fraction = DEFAULT_ALPHA) -> Iterator[int]:

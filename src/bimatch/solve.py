@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .auction import eps_scaling_auction
 from .core import (
     Matching,
-    Record,
     WeightedBipartiteGraph,
     matching_weight,
     validate_matching,
@@ -23,13 +22,9 @@ ALGORITHMS = ("auction", "gk", "hungarian")
 TRACED_ALGORITHMS = ("auction", "gk")
 
 
-class SolveResult(Record):
-    _fields = __slots__ = ("matching", "weight")
+class SolveResult(NamedTuple):
     matching: Matching
     weight: int
-
-    def __init__(self, matching: Matching, weight: int):
-        self._set(matching, weight)
 
 
 def require_traced(algorithm: str) -> None:

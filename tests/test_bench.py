@@ -99,6 +99,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="repetitions"):
             small_config(repetitions=0)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sizes_must_be_positive(self, n):
+        # log_n and sqrt_n of such a size would raise a math domain error
+        with pytest.raises(ValueError, match="'n_values' must hold sizes"):
+            small_config(n_values=(8, n), s_rules=("log_n", "sqrt_n"))
+
 
 class TestLoadConfig:
     def write(self, tmp_path, payload):

@@ -230,11 +230,15 @@ class TestSolve:
         )
 
     def test_bad_alpha_exits_2(self, tmp_path, capsys):
-        rc = main(
-            ["solve", "--alpha", "1", "--in", str(write_g0(tmp_path))]
-        )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        for alpha, message in (
+            ("1", "alpha must exceed 1, got 1"),
+            ("zebra", "cannot parse scaling factor 'zebra'"),
+        ):
+            rc = main(
+                ["solve", "--alpha", alpha, "--in", str(write_g0(tmp_path))]
+            )
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_gk_trace_honours_alpha_and_reduction(self, tmp_path, capsys):
         g = build_graph(
@@ -534,6 +538,15 @@ class TestBench:
         rc = main(["bench", "--config", str(cfg), "--out", str(out_dir)])
         assert rc == 2
         assert f"config key '{key}' must be a list of" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_a_size_below_one_exits_2_naming_its_key(self, tmp_path, capsys):
+        # log_n of 0 is undefined, so the config must fail before the grid expands
+        cfg = write_bench_config(tmp_path, n_values=[0], s_rules=["log_n"])
+        out_dir = tmp_path / "o"
+        rc = main(["bench", "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 2
+        assert "config key 'n_values' must hold sizes" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_bad_cell_exits_2_before_any_job(self, tmp_path, capsys):

@@ -68,6 +68,16 @@ class TestParseAlpha:
         with pytest.raises(ValueError):
             parse_alpha(bad)
 
+    def test_messages_name_the_value(self):
+        with pytest.raises(ValueError, match=r"^alpha must exceed 1, got 1$"):
+            parse_alpha("1")
+        with pytest.raises(ValueError, match=r"^alpha must exceed 1, got 1/2$"):
+            parse_alpha("0.5")
+        with pytest.raises(
+            ValueError, match=r"^cannot parse scaling factor 'zebra'$"
+        ):
+            parse_alpha("zebra")
+
 
 class TestEpsSchedule:
     def test_divides_then_clamps_to_one(self):
