@@ -42,10 +42,13 @@ each row with at least ``ORDERED_ROW_MIN_EDGES`` (40) edges and
 order and stops at the first edge with ``w > third + top``, where ``top``
 is the highest object price at the time of the scan.
 
-- The cut: a scan that reads the whole prefix with ``cut < limit`` has
-  :func:`~bimatch.scaling.complete_row` sort the rest, all above the cut,
-  onto the row, and reads on.  With ``cut >= limit`` every unread edge
-  has ``w > limit``, so it stops where the whole row's scan would.
+- The cut: with ``cut >= limit`` every edge past the prefix has
+  ``w > limit``, so a scan that reads the whole prefix stops where the
+  whole row's scan would.  With ``cut < limit`` the bid drops what it read
+  and runs the plain scan of the whole row.  That scan finds the same
+  best, second and third, and so the same cache entry: one is stored only
+  when third exceeds second, and then its two positions are unique.  No
+  scan writes to the view.
 
 - The ceiling: the phase keeps ``top`` and the number of objects priced at
   it.  A bid that lowers the last of them takes ``top`` afresh from
@@ -95,7 +98,6 @@ from .scaling import (
     OrderedView,
     check_alpha,
     check_persons_have_edges,
-    complete_row,
     eps_schedule,
     initial_eps,
     scale_graph,
@@ -142,8 +144,8 @@ def auction_phase(
     cache (see the module docstring); it is valid only while prices have
     done nothing but fall since it was filled, so leave it out unless the
     prices come from the phase that last used it.  ``view`` is the
-    weight-ordered view of ``graph``'s rows; scans complete its rows in
-    place, and it depends only on the graph.  ``on_stall`` is called once,
+    weight-ordered view of ``graph``'s rows; the phase only reads it, and
+    it depends only on the graph.  ``on_stall`` is called once,
     before bid ``PRECHECK_STALL_BIDS * n``, if the phase gets that far.
     """
     n, s = graph.n, graph.s
@@ -160,13 +162,11 @@ def auction_phase(
     owner: list[Optional[int]] = [None] * s
     if cache is None:
         cache = [None] * n
-    if view is None:
-        view = weight_ordered_rows(graph)
+    rows, cuts = weight_ordered_rows(graph) if view is None else view
+    ordered = bool(rows)
     pmax = max(prices)
     # The ordered scans' price ceiling: the exact current maximum price and
     # how many objects hold it.  Kept only when some row is ordered.
-    rows, cuts = view
-    ordered = bool(rows)
     top, at_top = pmax, prices.count(pmax)
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
@@ -193,42 +193,40 @@ def auction_phase(
             else:
                 best_i, best_rc, second_rc = i1, rc1, rc2
         else:
-            if ordered and (order := rows[u]) is not None:
+            order = rows[u] if ordered else None
+            if order is not None:
                 # the row in ascending (w, v), cut short by the price ceiling
                 best_rc = second_rc = third = limit = inf
                 best_i = second_i = -1
-                while True:
-                    for i in order:
-                        w = adj_w[i]
-                        if w > limit:
-                            # every edge from here on costs w' - p(v') >=
-                            # w - top > third: best, second and third are final
-                            break
-                        rc = w - prices[adj_v[i]]
-                        if rc <= third:
-                            if rc < second_rc:
-                                third = second_rc
-                                if rc < best_rc:
-                                    second_rc, second_i = best_rc, best_i
-                                    best_rc, best_i = rc, i
-                                elif rc == best_rc and i < best_i:
-                                    second_rc, second_i = rc, best_i
-                                    best_i = i
-                                else:
-                                    second_rc, second_i = rc, i
+                for i in order:
+                    w = adj_w[i]
+                    if w > limit:
+                        # every edge from here on costs w' - p(v') >=
+                        # w - top > third: best, second and third are final
+                        break
+                    rc = w - prices[adj_v[i]]
+                    if rc <= third:
+                        if rc < second_rc:
+                            third = second_rc
+                            if rc < best_rc:
+                                second_rc, second_i = best_rc, best_i
+                                best_rc, best_i = rc, i
+                            elif rc == best_rc and i < best_i:
+                                second_rc, second_i = rc, best_i
+                                best_i = i
                             else:
-                                third = rc
-                                if rc == best_rc and i < best_i:
-                                    best_i = i
-                            limit = third + top
-                    else:
-                        if cuts[u] < limit:
-                            # the sorted prefix ran out below the limit: the
-                            # rest of the row, all above the cut, is next
-                            order = complete_row(graph, view, u)
-                            continue
-                    break
-            else:
+                                second_rc, second_i = rc, i
+                        else:
+                            third = rc
+                            if rc == best_rc and i < best_i:
+                                best_i = i
+                        limit = third + top
+                else:
+                    if cuts[u] < limit:
+                        # the sorted prefix ran out below the limit, and the
+                        # view holds no more: the plain scan reads the row
+                        order = None
+            if order is None:
                 best_i = off[u]
                 best_rc = adj_w[best_i] - prices[adj_v[best_i]]
                 second_rc = third = inf

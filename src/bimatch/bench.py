@@ -111,17 +111,24 @@ class BenchConfig:
             raise ValueError("repetitions must be positive")
         if any(n < 1 for n in self.n_values):
             raise ValueError("config key 'n_values' must hold sizes of at least 1")
-        # An empty axis expands to no jobs: a run that times nothing.
+        # An empty axis expands to no jobs: a run that times nothing.  A
+        # repeated value expands to the same seeds again, which would be
+        # counted as further repetitions of one cell.
         for key in (
             "edge_models",
             "cost_models",
             "n_values",
             "s_rules",
             "densities",
+            "r_norms",
+            "p_lows",
             "algorithms",
         ):
-            if not getattr(self, key):
+            values = getattr(self, key)
+            if not values and key not in ("r_norms", "p_lows"):
                 raise ValueError(f"config key {key!r} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"config key {key!r} must not repeat a value")
         for what, values, known in (
             ("edge model", self.edge_models, EDGE_MODELS),
             ("cost model", self.cost_models, WEIGHT_MODELS),

@@ -37,14 +37,15 @@ its two smallest reduced costs, with arcs in place of adjacency positions
 (arc ``a`` is position ``a``): the same candidate cache, created once per
 solve and afresh by a direct call; the same weight-ordered rows of
 :func:`~bimatch.scaling.weight_ordered_rows`, sorted up to a cut, whose
-full scans stop at the first arc with ``w > third + top`` and complete
-the row when its prefix runs out with the cut below that limit; and the
-same price ceiling ``top`` over the object prices.  The auction's module docstring argues
-that each is exact.  The argument holds here because every push sets
-its object's price to ``old - gamma - eps``, the bidding form, so object
-prices only fall.  The two scans stay separate code on purpose:
-equal traces are the check.  A refine called without a view builds its
-own, so a direct call takes the same path as a solve.
+full scans stop at the first arc with ``w > third + top`` and fall back
+to the plain scan of the row when its prefix runs out with the cut below
+that limit; and the same price ceiling ``top`` over the object prices.
+The auction's module docstring argues that each is exact.  The argument
+holds here because every push sets its object's price to ``old - gamma -
+eps``, the bidding form, so object prices only fall.  The two scans stay
+separate code on purpose: equal traces are the check.  A refine called
+without a view builds its own, so a direct call takes the same path as a
+solve.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .scaling import (
     OrderedView,
     check_alpha,
     check_persons_have_edges,
-    complete_row,
     eps_schedule,
     initial_eps,
     scale_graph,
@@ -202,10 +202,10 @@ def refine(
     candidate cache (see the module docstring); it is valid only while
     object prices have done nothing but fall since it was filled, so leave
     it out unless the prices come from the refine that last used it.
-    ``view`` is the weight-ordered view of the graph's rows; scans complete
-    its rows in place, and it depends only on the graph.  ``on_stall`` is
-    called once, before push ``PRECHECK_STALL_BIDS * n``, if the round gets
-    that far.
+    ``view`` is the weight-ordered view of the graph's rows; the round only
+    reads it, and it depends only on the graph.  ``on_stall`` is called
+    once, before push ``PRECHECK_STALL_BIDS * n``, if the round gets that
+    far.
     """
     g = fi.graph
     n, s = g.n, g.s
@@ -222,14 +222,12 @@ def refine(
     owner_arc = [-1] * s
     if cache is None:
         cache = [None] * n
-    if view is None:
-        view = weight_ordered_rows(g)
+    rows, cuts = weight_ordered_rows(g) if view is None else view
+    ordered = bool(rows)
     objects = prices[n:]
     pmax = max(objects)
     # The ordered scans' price ceiling: the exact current maximum object
     # price and how many objects hold it.  Kept only when some row is ordered.
-    rows, cuts = view
-    ordered = bool(rows)
     top, at_top = pmax, objects.count(pmax)
     queue: deque[int] = deque(range(n))
     pop, push = queue.popleft, queue.append
@@ -256,42 +254,40 @@ def refine(
             else:
                 best_arc, best_rc, second_rc = a1, rc1, rc2
         else:
-            if ordered and (order := rows[u]) is not None:
+            order = rows[u] if ordered else None
+            if order is not None:
                 # the row in ascending (w, v), cut short by the price ceiling
                 best_rc = second_rc = third = limit = inf
                 best_arc = second_arc = -1
-                while True:
-                    for a in order:
-                        w = adj_w[a]
-                        if w > limit:
-                            # every arc from here on costs w' - p(v') >=
-                            # w - top > third: best, second and third are final
-                            break
-                        rc = w - objects[adj_v[a]]
-                        if rc <= third:
-                            if rc < second_rc:
-                                third = second_rc
-                                if rc < best_rc:
-                                    second_rc, second_arc = best_rc, best_arc
-                                    best_rc, best_arc = rc, a
-                                elif rc == best_rc and a < best_arc:
-                                    second_rc, second_arc = rc, best_arc
-                                    best_arc = a
-                                else:
-                                    second_rc, second_arc = rc, a
+                for a in order:
+                    w = adj_w[a]
+                    if w > limit:
+                        # every arc from here on costs w' - p(v') >=
+                        # w - top > third: best, second and third are final
+                        break
+                    rc = w - objects[adj_v[a]]
+                    if rc <= third:
+                        if rc < second_rc:
+                            third = second_rc
+                            if rc < best_rc:
+                                second_rc, second_arc = best_rc, best_arc
+                                best_rc, best_arc = rc, a
+                            elif rc == best_rc and a < best_arc:
+                                second_rc, second_arc = rc, best_arc
+                                best_arc = a
                             else:
-                                third = rc
-                                if rc == best_rc and a < best_arc:
-                                    best_arc = a
-                            limit = third + top
-                    else:
-                        if cuts[u] < limit:
-                            # the sorted prefix ran out below the limit: the
-                            # rest of the row, all above the cut, is next
-                            order = complete_row(g, view, u)
-                            continue
-                    break
-            else:
+                                second_rc, second_arc = rc, a
+                        else:
+                            third = rc
+                            if rc == best_rc and a < best_arc:
+                                best_arc = a
+                        limit = third + top
+                else:
+                    if cuts[u] < limit:
+                        # the sorted prefix ran out below the limit, and the
+                        # view holds no more: the plain scan reads the row
+                        order = None
+            if order is None:
                 best_arc = off[u]
                 best_rc = adj_w[best_arc] - objects[adj_v[best_arc]]
                 second_rc = third = inf

@@ -74,18 +74,21 @@ ORDERED_ROW_MIN_WEIGHTS = 3
 
 # An ordered row of at least ORDERED_PREFIX_MIN_EDGES edges is sorted only
 # up to its cut, its lightest weight plus ORDERED_PREFIX_DEPTH times the
-# graph's max_abs_weight; the rest is sorted when a scan first needs it.
-# Deepest read of an auction solve above a row's lightest weight, in
-# max_abs_weight, er graphs at d=0.5 with uniform weights: n=s=300 p95
-# 0.24, max 0.30; n=s=1000 p95 0.15, max 0.22.  The view's build plus
-# completions per auction solve at depth 0.2 / 0.25 / 0.3 / 0.35: n=s=300
-# 3.13 / 2.61 / 2.80 / 3.01 ms (50, 3, 0 and 0 completions a solve);
-# n=s=1000 31.1 / 32.4 / 35.1 / 38.4 ms; n=s=200 1.61 / 1.31 / 1.30 /
-# 1.37 ms.  The whole-row sort took 4.12 ms at n=s=300.  Shorter rows are
-# sorted whole: the mirror's column rows of 40-57 edges are read to half
-# their length, so 75-95% of them completed, and the view took 0.30
-# against 0.18 ms on er 1600x40; square rows of 40-45 edges gained
-# nothing, and 50 edges 7%.
+# graph's max_abs_weight; a scan that reads past the cut takes the plain
+# scan of the whole row.  Deepest read of an auction solve above a row's
+# lightest weight, in max_abs_weight, er graphs at d=0.5 with uniform
+# weights: n=s=300 p95 0.24, max 0.30; n=s=1000 p95 0.15, max 0.22.  The
+# view's build per auction solve, plus a sort of the rest of each row
+# that a scan read past the cut, at depth 0.2 / 0.25 / 0.3 / 0.35:
+# n=s=300 3.13 / 2.61 / 2.80 / 3.01 ms (50, 3, 0 and 0 such rows a
+# solve); n=s=1000 31.1 / 32.4 / 35.1 / 38.4 ms; n=s=200 1.61 / 1.31 /
+# 1.30 / 1.37 ms.  The whole-row sort took 4.12 ms at n=s=300.  Shorter
+# rows are sorted whole: the mirror's column rows of 40-57 edges are read
+# to half their length, so most scans of them would read past a
+# quarter-depth cut.  With a prefix on every ordered row, auction and gk
+# solves on er 1600x40 took 1.025 and 1.031 times as long (medians of 16
+# one-process pairs on a 2-core Xeon, none faster); square rows of 40-45
+# edges gained nothing from a prefix, and 50 edges 7%.
 ORDERED_PREFIX_MIN_EDGES = 64
 ORDERED_PREFIX_DEPTH = Fraction(1, 4)
 
@@ -95,7 +98,7 @@ ORDERED_PREFIX_DEPTH = Fraction(1, 4)
 OrderedRows = list[Optional[list[int]]]
 
 # The rows, and per person the cut of its row: its positions with ``w <=
-# cut`` are in the row and the rest are not.  ``inf`` once the row is whole.
+# cut`` are in the row and the rest are not.  ``inf`` when the row is whole.
 OrderedView = tuple[OrderedRows, list[float]]
 
 # Per person: (lower position, higher position, third-smallest reduced cost)
@@ -114,10 +117,11 @@ def weight_ordered_rows(graph: WeightedBipartiteGraph) -> OrderedView:
     which each row holds in ascending ``v``, in ``(w, v)`` order.  A row
     of at least :data:`ORDERED_PREFIX_MIN_EDGES` edges keeps only its
     positions with ``w <= cut``, the cut :data:`ORDERED_PREFIX_DEPTH`
-    times ``max_abs_weight`` above its lightest weight, and
-    :func:`complete_row` sorts the rest on demand.  A shorter row, or one
+    times ``max_abs_weight`` above its lightest weight; a scan that needs
+    more takes the plain scan of the whole row.  A shorter row, or one
     whose prefix is whole, gets the cut ``inf``.  When no row is ordered
-    both lists are empty, so the loops skip the per-bid lookup.
+    both lists are empty, so the loops skip the per-bid lookup.  Nothing
+    writes to the view once it is built, so it depends only on ``graph``.
     """
     min_edges, min_weights = ORDERED_ROW_MIN_EDGES, ORDERED_ROW_MIN_WEIGHTS
     prefix_edges, depth = ORDERED_PREFIX_MIN_EDGES, ORDERED_PREFIX_DEPTH
@@ -141,21 +145,6 @@ def weight_ordered_rows(graph: WeightedBipartiteGraph) -> OrderedView:
             if len(row) < hi - lo:
                 cuts[u] = cut
     return ([], []) if rows.count(None) == graph.n else (rows, cuts)
-
-
-def complete_row(
-    graph: WeightedBipartiteGraph, view: OrderedView, u: int
-) -> list[int]:
-    """Sort the rest of ``u``'s ordered row, every position with ``w`` above
-    its cut, onto the row; returns the rest.  The row is then whole, in
-    ``(w, v)`` order, and its cut ``inf``."""
-    rows, cuts = view
-    off, adj_w, cut = graph.adj_off, graph.adj_w, cuts[u]
-    rest = [i for i in range(off[u], off[u + 1]) if adj_w[i] > cut]
-    rest.sort(key=adj_w.__getitem__)
-    rows[u] += rest
-    cuts[u] = inf
-    return rest
 
 
 def parse_alpha(text: str) -> Fraction:

@@ -105,6 +105,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'n_values' must hold sizes"):
             small_config(n_values=(8, n), s_rules=("log_n", "sqrt_n"))
 
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("edge_models", ("erdos_renyi", "erdos_renyi")),
+            ("cost_models", ("uniform", "uniform")),
+            ("n_values", (8, 6, 8)),
+            ("s_rules", ("n", "n")),
+            ("densities", (1.0, 0.5, 1.0)),
+            ("r_norms", (0.5, 0.5)),
+            ("p_lows", (0.25, 0.25)),
+            ("algorithms", ("auction", "auction")),
+        ],
+    )
+    def test_repeated_values_are_rejected_by_key(self, key, values):
+        # a repeat would solve the same seeds again as further repetitions
+        with pytest.raises(ValueError, match=f"'{key}' must not repeat a value"):
+            small_config(**{key: values})
+
 
 class TestLoadConfig:
     def write(self, tmp_path, payload):
@@ -191,6 +209,17 @@ class TestLoadConfig:
         cfg = load_config(self.write(tmp_path, payload))
         assert cfg.densities == (1.0, 0.5)
         assert cfg.time_limit == 60.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_values", [16, 16]), ("densities", [1, 1.0]), ("algorithms", ["gk", "gk"])],
+    )
+    def test_repeated_values_are_rejected_by_key(self, tmp_path, key, value):
+        # densities repeat once converted to floats
+        payload = self.base_payload()
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"config key '{key}' must not repeat"):
+            load_config(self.write(tmp_path, payload))
 
 
 class TestCommittedConfigs:

@@ -16,7 +16,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from math import inf
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 
@@ -30,6 +30,7 @@ from bimatch.gk import flow_to_matching, refine, to_flow_instance
 from bimatch.reduction import build_reduction
 from bimatch.scaling import (
     DEFAULT_ALPHA,
+    OrderedView,
     eps_schedule,
     initial_eps,
     scale_graph,
@@ -585,44 +586,44 @@ def test_unbalanced_graph_whose_mirror_has_both_kinds_of_rows(ordered_rows):
 
 # The sorted prefix.  A row of at least ORDERED_PREFIX_MIN_EDGES edges is
 # sorted only up to its cut; a scan that reads the whole prefix below its
-# limit has complete_row sort the rest onto it and reads on.  With the cut
-# at each row's lightest weight almost every ordered row completes in the
-# middle of a scan, and every trace must still equal the plain scan's.
+# limit takes the plain scan of the whole row.  With the cut at each row's
+# lightest weight every full scan past such a row's prefix falls back, and
+# every trace must still equal the plain scan's.
 
 
 @pytest.fixture
-def completions(monkeypatch) -> list[int]:
-    """The rows the two solvers' scans complete, in order."""
-    done: list[int] = []
+def views(monkeypatch, ordered_rows) -> Iterator[list[OrderedView]]:
+    """Every view the two solvers build, in order, still counted by
+    ``ordered_rows``.  Some row of some view must have a finite cut."""
+    built: list[OrderedView] = []
+    counting = auction_module.weight_ordered_rows
 
-    def counting(graph, view, u):
-        done.append(u)
-        return scaling.complete_row(graph, view, u)
+    def recording(graph):
+        built.append(counting(graph))
+        return built[-1]
 
-    monkeypatch.setattr(auction_module, "complete_row", counting)
-    monkeypatch.setattr(gk_module, "complete_row", counting)
-    return done
+    monkeypatch.setattr(auction_module, "weight_ordered_rows", recording)
+    monkeypatch.setattr(gk_module, "weight_ordered_rows", recording)
+    yield built
+    assert any(cut != inf for _, cuts in built for cut in cuts)
 
 
 class TestEveryRowCompletes(TestEveryRowOrdered):
     """The families above again, every ordered row cut at its lightest
-    weight."""
+    weight, so that a full scan past its prefix falls back."""
 
     @pytest.fixture(autouse=True)
-    def cut_at_the_lightest_weight(self, monkeypatch, completions):
+    def cut_at_the_lightest_weight(self, monkeypatch, views):
         monkeypatch.setattr(scaling, "ORDERED_PREFIX_MIN_EDGES", 2)
         monkeypatch.setattr(scaling, "ORDERED_PREFIX_DEPTH", Fraction(0))
-        yield
-        assert completions
 
     @pytest.mark.parametrize("label, low, high, n", REAL_CUTOFF_ROWS)
     def test_rows_above_the_real_cutoff(self, label, low, high, n, ordered_rows):
         test_rows_above_the_real_cutoff(label, low, high, n, ordered_rows)
 
 
-def test_a_row_completes_at_most_once_per_view(completions, monkeypatch):
-    # each solve builds its own view and completes a row of it at most
-    # once; phases that share one view complete each row once among them
+def test_no_scan_changes_the_view(views, monkeypatch):
+    # solves and direct calls that share one view leave it as built
     monkeypatch.setattr(scaling, "ORDERED_ROW_MIN_EDGES", 2)
     monkeypatch.setattr(scaling, "ORDERED_ROW_MIN_WEIGHTS", 2)
     monkeypatch.setattr(scaling, "ORDERED_PREFIX_MIN_EDGES", 2)
@@ -630,26 +631,19 @@ def test_a_row_completes_at_most_once_per_view(completions, monkeypatch):
     rng = random.Random(31)
     g = draw(rng, 30, 30, lambda: rng.randint(4, 20), lambda: rng.randint(1, 900))
     assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
-    half = len(completions) // 2
-    assert half and len(set(completions)) == half
-    assert completions[:half] == completions[half:]
-
     scaled = scale_graph(g)
-    view = rows, cuts = weight_ordered_rows(scaled)
-    prefixes = [u for u in range(g.n) if cuts[u] != inf]
-    del completions[:]
+    fresh = weight_ordered_rows(scaled)
+    assert len(views) == 2 and all(view == fresh for view in views)
+
+    view = weight_ordered_rows(scaled)
+    fi = to_flow_instance(scaled)
     prices = [0] * g.s
     for eps in (64, 8, 1):
         events: list[TraceEvent] = []
         auction_phase(scaled, eps, list(prices), trace_sink=events, view=view)
+        gk: list[TraceEvent] = []
+        refine(fi, eps, [0] * g.n + prices, trace_sink=gk, view=view)
         expected: list[TraceEvent] = []
         reference_phase(scaled, eps, prices, expected)
-        assert events == expected
-    refine(to_flow_instance(scaled), 1, [0] * (2 * g.n), view=view)
-    assert completions and len(set(completions)) == len(completions)
-    assert set(completions) <= set(prefixes)
-    off, adj_v, adj_w = scaled.adj_off, scaled.adj_v, scaled.adj_w
-    for u in prefixes:
-        whole = sorted(range(off[u], off[u + 1]), key=lambda i: (adj_w[i], adj_v[i]))
-        assert (cuts[u] == inf) == (u in completions)
-        assert (rows[u] == whole) == (cuts[u] == inf)
+        assert events == expected and gk == expected
+    assert view == fresh

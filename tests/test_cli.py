@@ -549,6 +549,21 @@ class TestBench:
         assert "config key 'n_values' must hold sizes" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_a_repeated_size_exits_2_naming_its_key(self, tmp_path, capsys):
+        # the repeat would solve the same seeds again and count them as runs
+        cfg = write_bench_config(
+            tmp_path,
+            n_values=[8, 8],
+            algorithms=["auction", "auction"],
+            repetitions=2,
+        )
+        out_dir = tmp_path / "o"
+        rc = main(["bench", "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config key 'n_values' must not repeat a value" in err
+        assert not out_dir.exists()
+
     def test_bad_cell_exits_2_before_any_job(self, tmp_path, capsys):
         cfg = write_bench_config(tmp_path, densities=[0.5, 1.5])
         out_dir = tmp_path / "o"

@@ -17,7 +17,6 @@ from bimatch.scaling import (
     ORDERED_PREFIX_MIN_EDGES,
     ORDERED_ROW_MIN_EDGES,
     ORDERED_ROW_MIN_WEIGHTS,
-    complete_row,
     eps_schedule,
     initial_eps,
     parse_alpha,
@@ -118,14 +117,6 @@ class TestSentinelGap:
         assert second_cost_sentinel_gap(9) == 19
 
 
-def whole_row(graph, view, u):
-    """Row ``u`` of ``view``, its rest sorted on first if it has one."""
-    rows, cuts = view
-    if cuts[u] != inf:
-        complete_row(graph, view, u)
-    return rows[u]
-
-
 def stable_order(graph, u):
     """Row ``u``'s positions sorted by ``(w, v)``."""
     off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
@@ -152,7 +143,7 @@ class TestWeightOrderedRows:
         edges += [(3, v, v) for v in range(d - 1)]
         edges += [(u, u, 1) for u in range(4, n)]
         g = build_graph(n, n, edges)
-        view = rows, cuts = weight_ordered_rows(g)
+        rows, cuts = weight_ordered_rows(g)
         assert len(rows) == n
         assert rows[1] is None and rows[3:] == [None] * (n - 3)
         # row 0 holds its weights up to ORDERED_PREFIX_DEPTH times
@@ -162,11 +153,7 @@ class TestWeightOrderedRows:
         assert cuts[0] == 1 + g.max_abs_weight * depth.numerator // depth.denominator
         assert rows[0] == [i for i in stable_order(g, 0) if g.adj_w[i] <= cuts[0]]
         assert 3 <= len(rows[0]) < n and cuts[2] == inf
-        for u in (0, 2):
-            order = whole_row(g, view, u)
-            assert sorted(order) == list(range(g.adj_off[u], g.adj_off[u + 1]))
-            keys = [(g.adj_w[i], g.adj_v[i]) for i in order]
-            assert keys == sorted(keys)
+        assert rows[2] == stable_order(g, 2)
         keys = [(g.adj_w[i], g.adj_v[i]) for i in rows[0]]
         assert keys[:4] == [(1, ln - 1), (1, ln), (2, ln - 2), (2, ln + 1)]
         assert len({g.adj_w[i] for i in rows[2]}) == self.K
@@ -180,9 +167,9 @@ class TestWeightOrderedRows:
         edges = [(0, v, w) for v, w in enumerate(w0)]
         edges += [(1, v, w) for v, w in enumerate(w1)]
         g = build_graph(2, d, edges)
-        view = rows, _ = weight_ordered_rows(g)
-        assert rows[1] is None
-        assert [g.adj_w[i] for i in whole_row(g, view, 0)] == sorted(w0)
+        rows, cuts = weight_ordered_rows(g)
+        assert rows[1] is None and cuts[0] == inf
+        assert [g.adj_w[i] for i in rows[0]] == sorted(w0)
 
     def test_no_ordered_row_gives_an_empty_view(self):
         assert weight_ordered_rows(g0()) == ([], [])
@@ -209,14 +196,10 @@ class TestWeightOrderedRows:
             mp.setattr(scaling, "ORDERED_ROW_MIN_WEIGHTS", 1)
             mp.setattr(scaling, "ORDERED_PREFIX_MIN_EDGES", 1)
             mp.setattr(scaling, "ORDERED_PREFIX_DEPTH", depth)
-            view = rows, cuts = weight_ordered_rows(g)
-        (prefix,), (cut,) = rows, cuts
+            (prefix,), (cut,) = weight_ordered_rows(g)
         cut_at = min(weights) + g.max_abs_weight * depth.numerator // depth.denominator
         assert prefix == [i for i in whole if weights[i] <= cut_at]
         assert cut == (inf if len(prefix) == len(weights) else cut_at)
-        rest = complete_row(g, view, 0) if cut != inf else []
-        assert rest == [i for i in whole if weights[i] > cut]
-        assert rows == [whole] and cuts == [inf]
 
     @pytest.mark.parametrize(
         "module, solver",
