@@ -97,7 +97,7 @@ from .scaling import (
     CandidateCache,
     OrderedView,
     check_alpha,
-    check_persons_have_edges,
+    check_bid_input,
     eps_schedule,
     initial_eps,
     scale_graph,
@@ -147,15 +147,16 @@ def auction_phase(
     weight-ordered view of ``graph``'s rows; the phase only reads it, and
     it depends only on the graph.  ``on_stall`` is called once,
     before bid ``PRECHECK_STALL_BIDS * n``, if the phase gets that far.
+
+    Before any bid it makes :func:`~bimatch.scaling.check_bid_input`, the
+    entry check it shares with :func:`bimatch.gk.refine`: a ``ValueError``
+    for an unbalanced graph or ``eps < 1``, and an
+    :class:`InfeasibleInstanceError` for a person with no edges.
     """
+    check_bid_input(graph, eps)
     n, s = graph.n, graph.s
-    if n != s:
-        raise ValueError(f"bidding needs a balanced graph, got n={n}, s={s}")
-    if eps < 1:
-        raise ValueError(f"eps must be a positive integer, got {eps}")
     off, adj_v, adj_w = graph.adj_off, graph.adj_v, graph.adj_w
     sentinel_gap = second_cost_sentinel_gap(graph.max_abs_weight)
-    check_persons_have_edges(graph)
     if trace_sink is not None:
         from .tracing import TraceEvent
 

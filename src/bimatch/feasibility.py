@@ -141,14 +141,15 @@ def _augment_shortest_paths(
     return grown
 
 
+def _counts_rule_out(graph: WeightedBipartiteGraph) -> bool:
+    """True when the counts alone leave a right vertex uncovered: more
+    right vertices than left ones, or fewer edges than right vertices."""
+    return graph.s > graph.n or graph.m < graph.s
+
+
 def is_feasible(graph: WeightedBipartiteGraph) -> bool:
     """True iff some matching covers all ``s`` right vertices."""
-    if graph.s > graph.n:
-        return False
-    # A right vertex with no incident edge can never be covered.
-    if graph.m < graph.s:
-        return False
-    return maximum_matching_size(graph) == graph.s
+    return not _counts_rule_out(graph) and maximum_matching_size(graph) == graph.s
 
 
 def feasibility_precheck(graph: WeightedBipartiteGraph) -> None:
@@ -186,7 +187,7 @@ class Precheck:
             return
         if not defer:
             feasibility_precheck(graph)
-        elif graph.s > graph.n or graph.m < graph.s:
+        elif _counts_rule_out(graph):
             _reject(graph)
 
     def __enter__(self) -> Precheck:

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import WeightedBipartiteGraph
+from .core import WeightedBipartiteGraph, _check_sides
 from .rng import GRAPH_STREAM, WEIGHT_STREAM, make_rng
 
 EDGE_MODELS = ("erdos_renyi", "dispersed_degree")
@@ -57,6 +57,12 @@ _BLOCK_CELLS = 1 << 16
 def round_half_up(x: float) -> int:
     """Nearest integer, ties upward, for nonnegative input."""
     return math.floor(x + 0.5)
+
+
+def _check_unit(name: str, value: float) -> None:
+    """``ValueError`` unless ``value`` lies in ``[0, 1]``."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -82,22 +88,18 @@ class GenSpec:
             raise ValueError(f"unknown edge model {self.model!r}")
         if self.weight_model not in WEIGHT_MODELS:
             raise ValueError(f"unknown weight model {self.weight_model!r}")
-        if self.n < 1 or self.s < 1:
-            raise ValueError("need n >= 1 and s >= 1")
-        if not 0.0 <= self.d <= 1.0:
-            raise ValueError(f"density parameter {self.d} outside [0, 1]")
+        _check_sides(self.n, self.s)
+        _check_unit("density parameter", self.d)
         if self.model == "dispersed_degree":
             if self.r_norm is None:
                 raise ValueError("dispersed_degree requires r_norm")
-            if not 0.0 <= self.r_norm <= 1.0:
-                raise ValueError(f"r_norm {self.r_norm} outside [0, 1]")
+            _check_unit("r_norm", self.r_norm)
         elif self.r_norm is not None:
             raise ValueError("r_norm only applies to dispersed_degree")
         if self.weight_model in ("uniform_low_high", "low_or_high"):
             if self.p_low is None:
                 raise ValueError(f"{self.weight_model} requires p_low")
-            if not 0.0 <= self.p_low <= 1.0:
-                raise ValueError(f"p_low {self.p_low} outside [0, 1]")
+            _check_unit("p_low", self.p_low)
         elif self.p_low is not None:
             raise ValueError("p_low only applies to the split weight models")
 
@@ -122,10 +124,8 @@ def erdos_renyi(n: int, s: int, d: float, seed: int) -> WeightedBipartiteGraph:
     block consumes exactly the doubles that ``k`` successive ``random(s)``
     calls would, and the graph does not depend on the block size.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"density parameter {d} outside [0, 1]")
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
+    _check_unit("density parameter", d)
+    _check_sides(n, s)
     rng = make_rng(seed, GRAPH_STREAM)
     block = max(1, _BLOCK_CELLS // s)
     off = [0]
@@ -147,14 +147,12 @@ def dispersed_degree(
     ``r`` must satisfy ``0 <= r <= s * min(d, 1 - d)`` so the interval
     stays within ``[0, s]``.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"density parameter {d} outside [0, 1]")
+    _check_unit("density parameter", d)
     if r < 0 or r > s * min(d, 1.0 - d):
         raise ValueError(
             f"radius {r} outside [0, s*min(d, 1-d)] = [0, {s * min(d, 1.0 - d)}]"
         )
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
+    _check_sides(n, s)
     c = round_half_up(d * s)
     lo, hi = c - r, c + r
     assert 0 <= lo <= hi <= s
@@ -189,13 +187,23 @@ def _reweight(
     )
 
 
+def _weight_stream(
+    graph: WeightedBipartiteGraph, seed: int, *p_low: float
+) -> np.random.Generator:
+    """The weight stream of ``seed``, once ``graph`` has edges and each
+    given ``p_low`` lies in ``[0, 1]``, checked in that order."""
+    if graph.m == 0:
+        raise ValueError("no edges to weight")
+    for p in p_low:
+        _check_unit("p_low", p)
+    return make_rng(seed, WEIGHT_STREAM)
+
+
 def assign_uniform_weights(
     graph: WeightedBipartiteGraph, seed: int
 ) -> WeightedBipartiteGraph:
     """I.i.d. uniform weights on {1, ..., 100000}, in adjacency order."""
-    if graph.m == 0:
-        raise ValueError("no edges to weight")
-    rng = make_rng(seed, WEIGHT_STREAM)
+    rng = _weight_stream(graph, seed)
     return _reweight(graph, rng.integers(1, WEIGHT_MAX + 1, size=graph.m))
 
 
@@ -203,11 +211,7 @@ def assign_uniform_low_high(
     graph: WeightedBipartiteGraph, p_low: float, seed: int
 ) -> WeightedBipartiteGraph:
     """Bernoulli(p_low) split: uniform {1..1000} low, {1001..100000} high."""
-    if graph.m == 0:
-        raise ValueError("no edges to weight")
-    if not 0.0 <= p_low <= 1.0:
-        raise ValueError(f"p_low {p_low} outside [0, 1]")
-    rng = make_rng(seed, WEIGHT_STREAM)
+    rng = _weight_stream(graph, seed, p_low)
     m = graph.m
     low_mask = rng.random(m) < p_low
     n_low = int(low_mask.sum())
@@ -221,11 +225,7 @@ def assign_low_or_high(
     graph: WeightedBipartiteGraph, p_low: float, seed: int
 ) -> WeightedBipartiteGraph:
     """Bernoulli(p_low) split onto the two point weights 1 and 100000."""
-    if graph.m == 0:
-        raise ValueError("no edges to weight")
-    if not 0.0 <= p_low <= 1.0:
-        raise ValueError(f"p_low {p_low} outside [0, 1]")
-    rng = make_rng(seed, WEIGHT_STREAM)
+    rng = _weight_stream(graph, seed, p_low)
     low_mask = rng.random(graph.m) < p_low
     return _reweight(graph, np.where(low_mask, 1, WEIGHT_MAX))
 

@@ -66,7 +66,8 @@ from .scaling import (
     CandidateCache,
     OrderedView,
     check_alpha,
-    check_persons_have_edges,
+    check_balanced,
+    check_bid_input,
     eps_schedule,
     initial_eps,
     scale_graph,
@@ -101,10 +102,9 @@ class FlowInstance(NamedTuple):
 
 
 def to_flow_instance(graph: WeightedBipartiteGraph) -> FlowInstance:
-    if graph.n != graph.s:
-        raise ValueError(
-            f"flow form needs a balanced graph, got n={graph.n}, s={graph.s}"
-        )
+    """The flow form of ``graph``; ``ValueError`` unless it is balanced,
+    the rule :func:`refine` applies again on entry."""
+    check_balanced(graph)
     return FlowInstance(graph)
 
 
@@ -206,14 +206,18 @@ def refine(
     reads it, and it depends only on the graph.  ``on_stall`` is called
     once, before push ``PRECHECK_STALL_BIDS * n``, if the round gets that
     far.
+
+    Before any push it makes :func:`~bimatch.scaling.check_bid_input`, the
+    entry check it shares with :func:`bimatch.auction.auction_phase`: a
+    ``ValueError`` for an unbalanced graph, even when ``fi`` was built
+    directly rather than by :func:`to_flow_instance`, or for ``eps < 1``,
+    and an :class:`InfeasibleInstanceError` for a person with no edges.
     """
     g = fi.graph
+    check_bid_input(g, eps)
     n, s = g.n, g.s
-    if eps < 1:
-        raise ValueError(f"eps must be a positive integer, got {eps}")
     off, adj_v, adj_w = g.adj_off, g.adj_v, g.adj_w
     sentinel_gap = second_cost_sentinel_gap(g.max_abs_weight)
-    check_persons_have_edges(g)
     if trace_sink is not None:
         from .tracing import TraceEvent
 

@@ -244,8 +244,22 @@ def step_guard(
     return guard, stall if deadline is None else 0
 
 
-def check_persons_have_edges(graph: WeightedBipartiteGraph) -> None:
-    """Reject a person with no edges up front: no bid loop could place it."""
+def check_balanced(graph: WeightedBipartiteGraph) -> None:
+    """``ValueError`` unless ``graph`` has as many persons as objects."""
+    if graph.n != graph.s:
+        raise ValueError(
+            f"bidding needs a balanced graph, got n={graph.n}, s={graph.s}"
+        )
+
+
+def check_bid_input(graph: WeightedBipartiteGraph, eps: int) -> None:
+    """The entry check of both bid loops, before any bid: a ``ValueError``
+    unless ``graph`` is balanced and ``eps >= 1``, in that order, then an
+    :class:`InfeasibleInstanceError` for a person with no edges, which no
+    bid loop could place."""
+    check_balanced(graph)
+    if eps < 1:
+        raise ValueError(f"eps must be a positive integer, got {eps}")
     off = graph.adj_off
     for u in range(graph.n):
         if off[u] == off[u + 1]:

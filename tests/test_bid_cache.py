@@ -294,6 +294,30 @@ def test_hand_built_ties_go_to_the_lower_position(edges, rebid_v):
     assert traces(g) == {"auction": reference_solve(g), "gk": reference_solve(g)}
 
 
+def test_a_prefix_that_ends_one_below_the_limit_falls_back():
+    # Row 0 is ordered (70 edges, three weights); the cut is its lightest
+    # weight 100 plus a quarter of max_abs_weight 400, so its prefix is
+    # objects 1-3.  At these prices it reads 201 three times, so best,
+    # second and third are 201, and limit = third + top = 201 = cut + 1.
+    # Object 0, past the prefix, ties them at 201 with a lower position:
+    # only the fallback's plain scan sends the first bid there.  A test of
+    # ``cuts[u] < limit - 1`` would keep the prefix and bid for object 1.
+    n = 70
+    row0 = [(0, 0, 201)] + [(0, v, 100) for v in (1, 2, 3)]
+    row0 += [(0, v, 400) for v in range(4, n)]
+    rest = [(u, v, 400) for u in range(1, n) for v in range(n)]
+    g = build_graph(n, n, row0 + rest)
+    rows, cuts = weight_ordered_rows(g)
+    assert rows[0] == [1, 2, 3] and cuts[0] == 200
+    prices = [0] + [-101] * 3 + [0] * (n - 4)
+    auction, gk, expected = phase_events(g, 1, prices)
+    assert auction == expected
+    assert gk == expected
+    first = expected[0]
+    assert (first.selected_u, first.best_v) == (0, 0)
+    assert first.best_reduced_cost == first.second_reduced_cost == 201
+
+
 # The weight-ordered scan.  A row with at least ORDERED_ROW_MIN_EDGES edges
 # and ORDERED_ROW_MIN_WEIGHTS distinct weights is read in ascending (w, v)
 # and cut short by the price ceiling; every trace must still equal the

@@ -334,3 +334,28 @@ class TestSolverCorrespondence:
             with pytest.raises(InfeasibleInstanceError, match="no edges"):
                 solve(g, precheck=False, trace_sink=events)
             assert events == []
+
+    @pytest.mark.parametrize(
+        "n, s, edges",
+        [
+            # 3x2: unchecked, refine bids until its step cap
+            (3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3), (2, 1, 1)]),
+            # 2x3: unchecked, refine returns a flow that leaves object 2
+            # uncovered
+            (2, 3, [(0, 0, 1), (0, 2, 2), (1, 1, 3), (1, 2, 1)]),
+        ],
+        ids=["3x2", "2x3"],
+    )
+    def test_unbalanced_graph_raises_before_any_step_in_both(self, n, s, edges):
+        # refine reached through a FlowInstance built directly, past the
+        # balance check of to_flow_instance
+        g = build_graph(n, s, edges)
+        auction_events: list = []
+        with pytest.raises(ValueError, match="balanced"):
+            auction_phase(g, 1, [0] * s, trace_sink=auction_events)
+        gk_events: list = []
+        prices = [0] * (n + s)
+        with pytest.raises(ValueError, match="balanced"):
+            refine(FlowInstance(g), 1, prices, trace_sink=gk_events)
+        assert auction_events == [] and gk_events == []
+        assert prices == [0] * (n + s)
